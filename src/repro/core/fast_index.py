@@ -18,9 +18,12 @@ batched pass, in the spirit of Lettich et al.'s manycore k-NN engine:
   query advances one ring per pass, no per-object work); queries are
   then grouped by home cell with ``np.minimum.reduceat`` /
   ``np.maximum.reduceat`` union rectangles so queries sharing a cell
-  share one gather; the exact k-NN of every query falls out of a single
-  ``lexsort`` over all (query, candidate) pairs, with ties broken by
-  object ID.
+  share one gather; one ``np.partition`` per power-of-two bucket of
+  candidate counts finds each query's k-th smallest distance, and one
+  ``lexsort`` of the pairs at or below it ranks the exact k-NN, with ties
+  broken by object ID.  A caller may also bound each query's k-th
+  distance (the paper's §3.2 incremental radius, see
+  :class:`FastGridEngine`); the radius is then the smaller of the two.
 
 Both pieces are *region-aware*: a :class:`CSRGrid` may cover any axis-
 aligned rectangle ``region = (x0, y0, x1, y1)`` with an ``nx x ny`` cell
@@ -33,11 +36,16 @@ using the whole unit square as a single region.
 Exactness argument (same as the paper's Fig. 3): the ring growth stops at
 the first rectangle ``R0 = R(cq, l)`` holding at least ``k`` objects, so
 the distance from ``q`` to the farthest corner of ``R0`` bounds the true
-k-th-NN distance; the critical rectangle covers the disc of that radius,
-and the per-query union rectangle only ever *adds* candidate cells.
-Queries may lie outside the grid's region: the home cell clamps to the
-nearest edge cell, which only enlarges ``R0`` (and so the candidate set),
-never shrinks it.
+k-th-NN distance; so does the farthest current position of any ``k``
+live objects (§3.2), and the minimum of two sound bounds is sound.  The
+critical rectangle covers the disc of that radius, padded by a relative
+``1e-9`` and an absolute ``1e-12`` so an object at exactly the radius
+lands inside it despite rounding in ``q ± r`` and in the cell
+assignment; rectangle cells and snapshot cells use the one expression
+of :func:`cell_index`.  The per-query union rectangle only ever *adds*
+candidate cells.  Queries may lie outside the grid's region: the home
+cell clamps to the nearest edge cell, which only enlarges ``R0`` (and so
+the candidate set), never shrinks it.
 """
 
 from __future__ import annotations
@@ -57,11 +65,23 @@ from .answers import AnswerList
 
 STAGE_NAMES = ("snapshot_csr", "radii", "gather", "select")
 
-# The dense (padded-matrix) selection path is used whenever the padded
-# matrix would stay within this many cells even if padding dominates; the
-# ragged (global-lexsort) fallback handles heavily skewed candidate
-# distributions where one query's block would blow up the padding.
-DENSE_SELECT_LIMIT = 1 << 22
+#: Relative and absolute pad on every critical radius: an object at exactly
+#: the radius must fall inside the critical rectangle even when ``q ± r``
+#: rounds across a cell boundary.
+RADIUS_PAD_REL = 1e-9
+RADIUS_PAD_ABS = 1e-12
+
+
+def cell_index(v: np.ndarray, lo: float, hi: float, n: int) -> np.ndarray:
+    """Clamped cell index along one axis of ``n`` cells over ``[lo, hi)``.
+
+    The one cell expression of the fast path: snapshot cells, query home
+    cells and critical-rectangle bounds all come from it, so a point on a
+    cell boundary lands in the same cell whichever of them asks.  The
+    clamp runs on floats, before the cast, so coordinates far outside the
+    region (or infinite) clamp to the edge cells instead of overflowing.
+    """
+    return np.clip((v - lo) * (n / (hi - lo)), 0, n - 1).astype(np.intp)
 
 
 @dataclass(frozen=True)
@@ -147,9 +167,7 @@ class CSRGrid:
         self.n_objects = len(positions)
         x = np.ascontiguousarray(positions[:, 0])
         y = np.ascontiguousarray(positions[:, 1])
-        ii = np.clip(((x - x0) * (nx / (x1 - x0))).astype(np.intp), 0, nx - 1)
-        jj = np.clip(((y - y0) * (ny / (y1 - y0))).astype(np.intp), 0, ny - 1)
-        flat = jj * nx + ii
+        flat = cell_index(y, y0, y1, ny) * nx + cell_index(x, x0, x1, nx)
         # Introsort beats the stable radix sort ~5x on these keys; the
         # within-cell object order is irrelevant (ties are broken by ID at
         # selection time), so stability is not needed.
@@ -268,9 +286,37 @@ def _empty_result(nq: int, k: int) -> BatchKNNResult:
         np.full((nq, k), np.inf),
         np.full((nq, k), -1, dtype=np.intp),
         {"radii": 0.0, "gather": 0.0, "select": 0.0},
-        {"ring_passes": 0, "groups": 0, "candidates": 0, "pairs": 0, "dense": 0},
+        {"ring_passes": 0, "groups": 0, "candidates": 0, "pairs": 0, "bounded": 0},
         np.zeros((nq, 4), dtype=np.intp),
     )
+
+
+def kth_smallest(
+    d2: np.ndarray, counts: np.ndarray, starts: np.ndarray, k: int
+) -> np.ndarray:
+    """The ``k``-th smallest value of every ragged run of ``d2``.
+
+    Run ``q`` is ``d2[starts[q] : starts[q] + counts[q]]``; a run shorter
+    than ``k`` reports ``inf``.  Runs are bucketed by the power of two of
+    their length; each bucket becomes one ``(runs, width)`` matrix padded
+    with ``inf``, and its width is below twice every member's length, so
+    the padding never exceeds the pairs however skewed the lengths are.
+    One ``np.partition`` per bucket then places each row's k-th value.
+    """
+    kth = np.empty(len(counts))
+    _, octave = np.frexp(counts)  # counts[q] in [2**(octave-1), 2**octave)
+    by_octave = np.argsort(octave, kind="stable")
+    edges = np.flatnonzero(np.diff(octave[by_octave])) + 1
+    for rows in np.split(by_octave, edges):
+        lengths = counts[rows]
+        col = np.arange(max(int(lengths.max()), k))
+        idx = starts[rows, None] + col
+        pad = col >= lengths[:, None]
+        idx[pad] = 0
+        block = d2[idx]
+        block[pad] = np.inf
+        kth[rows] = np.partition(block, k - 1, axis=1)[:, k - 1]
+    return kth
 
 
 def batch_knn(
@@ -280,6 +326,7 @@ def batch_knn(
     k: int,
     tracer: Tracer = None,
     seed_level: Optional[np.ndarray] = None,
+    bound_d2: Optional[np.ndarray] = None,
 ) -> BatchKNNResult:
     """Exact batched k-NN of every query against one CSR region snapshot.
 
@@ -296,6 +343,13 @@ def batch_knn(
     cycle's k-th distance).  Any seed is exact: growth still stops only
     at a rectangle holding >= k objects, and a too-large seed merely
     enlarges the candidate superset the exact selection then reduces.
+
+    ``bound_d2`` optionally gives each query an upper bound on its k-th
+    squared distance (``inf`` where there is none): the squared distance
+    to the farthest of any ``k`` live objects of this snapshot.  A query's
+    radius is then the smaller of the bound and the ring-growth radius;
+    ``stats["bounded"]`` counts the queries whose radius came from the
+    bound.
     """
     if tracer is None:
         tracer = Tracer(NULL_REGISTRY)
@@ -313,8 +367,8 @@ def batch_knn(
 
     # ---- stage: radii -------------------------------------------------
     with tracer.span("radii") as span_radii:
-        qi = np.clip(((qx - x0) * (nx / (x1 - x0))).astype(np.intp), 0, nx - 1)
-        qj = np.clip(((qy - y0) * (ny / (y1 - y0))).astype(np.intp), 0, ny - 1)
+        qi = cell_index(qx, x0, x1, nx)
+        qj = cell_index(qy, y0, y1, ny)
 
         # Vectorized ring growth: every query still short of k objects
         # grows its rectangle R(cq, l) by one ring per pass; the
@@ -357,13 +411,20 @@ def batch_knn(
         r0_yhi = y0 + (np.minimum(qj + level, ny - 1) + 1) * dy
         far_dx = np.maximum(qx - r0_xlo, r0_xhi - qx)
         far_dy = np.maximum(qy - r0_ylo, r0_yhi - qy)
-        lcrit = np.hypot(far_dx, far_dy)
+        radius = np.hypot(far_dx, far_dy)
+        bounded = 0
+        if bound_d2 is not None:
+            bound_r = np.sqrt(np.asarray(bound_d2, dtype=np.float64))
+            tighter = bound_r < radius
+            bounded = int(np.count_nonzero(tighter))
+            radius = np.where(tighter, bound_r, radius)
+        radius = radius * (1.0 + RADIUS_PAD_REL) + RADIUS_PAD_ABS
 
         # Critical rectangle: cells intersecting the bounding box of the disc.
-        ilo = np.clip(np.floor((qx - lcrit - x0) / dx).astype(np.intp), 0, nx - 1)
-        jlo = np.clip(np.floor((qy - lcrit - y0) / dy).astype(np.intp), 0, ny - 1)
-        ihi = np.clip(np.floor((qx + lcrit - x0) / dx).astype(np.intp), 0, nx - 1)
-        jhi = np.clip(np.floor((qy + lcrit - y0) / dy).astype(np.intp), 0, ny - 1)
+        ilo = cell_index(qx - radius, x0, x1, nx)
+        jlo = cell_index(qy - radius, y0, y1, ny)
+        ihi = cell_index(qx + radius, x0, x1, nx)
+        jhi = cell_index(qy + radius, y0, y1, ny)
 
     # ---- stage: gather ------------------------------------------------
     with tracer.span("gather") as span_gather:
@@ -428,32 +489,26 @@ def batch_knn(
 
     # ---- stage: select ------------------------------------------------
     with tracer.span("select") as span_select:
-        maxc = int(pairs_per_query.max())
-        dense = maxc * nq <= max(4 * npairs, DENSE_SELECT_LIMIT)
-        if dense:
-            # Dense path: scatter the ragged pairs into an (nq, maxc)
-            # matrix padded with inf and rank each row by (distance, ID)
-            # with one two-key lexsort — exact k-NN with deterministic
-            # ID tie-breaking, no per-query Python work.
-            dmat = np.full((nq, maxc), np.inf)
-            imat = np.zeros((nq, maxc), dtype=np.intp)
-            within = np.arange(npairs) - np.repeat(
-                pair_cum[:-1], pairs_per_query
+        # One exact select for every candidate distribution: find each
+        # query's k-th smallest distance, keep the pairs at or below it
+        # (ties included), and rank only that remainder by (query,
+        # distance, ID); the first k of each query's run are its k-NN.
+        kth = kth_smallest(pair_d2, pairs_per_query, pair_cum[:-1], k_eff)
+        if not np.isfinite(kth).all():
+            # Ring growth and the bound each guarantee >= k live objects
+            # inside the critical rectangle; this is an internal error.
+            raise IndexStateError(
+                "batch_knn: a query's critical rectangle holds fewer than "
+                f"k={k_eff} objects"
             )
-            dmat[pair_qpos, within] = pair_d2
-            imat[pair_qpos, within] = pair_ids
-            row_order = np.lexsort((imat, dmat), axis=1)[:, :k_eff]
-            sel_d2 = np.take_along_axis(dmat, row_order, axis=1)
-            sel_ids = np.take_along_axis(imat, row_order, axis=1)
-        else:
-            # Ragged fallback (heavily skewed data can give a few queries
-            # huge candidate blocks): one global lexsort by (query,
-            # distance, ID); the first k pairs of each query's contiguous
-            # run are its exact k-NN.
-            order = np.lexsort((pair_ids, pair_d2, pair_qpos))
-            top = order[pair_cum[:-1, None] + np.arange(k_eff)[None, :]]
-            sel_d2 = pair_d2[top]
-            sel_ids = pair_ids[top]
+        keep = np.flatnonzero(pair_d2 <= np.repeat(kth, pairs_per_query))
+        keep_q = pair_qpos[keep]
+        ranked = keep[np.lexsort((pair_ids[keep], pair_d2[keep], keep_q))]
+        kept_per_query = np.bincount(keep_q, minlength=nq)
+        run_start = np.concatenate(([0], np.cumsum(kept_per_query)[:-1]))
+        top = ranked[run_start[:, None] + np.arange(k_eff)]
+        sel_d2 = pair_d2[top]
+        sel_ids = pair_ids[top]
 
         # Scatter back to the caller's query order, padding the k_eff..k
         # tail (region population below k) with inf / -1 sentinels.
@@ -475,7 +530,7 @@ def batch_knn(
             "groups": ngroups,
             "candidates": ncand,
             "pairs": npairs,
-            "dense": int(dense),
+            "bounded": bounded,
         },
         np.column_stack((ilo, jlo, ihi, jhi)),
     )
@@ -488,12 +543,22 @@ class FastGridEngine(BaseEngine):
     paper-faithful engines, exact answers with ties broken by object ID.
     Stage timings of every cycle are appended to :attr:`stage_history`.
 
-    Churn support: the engine rebuilds its CSR snapshot every cycle and
-    keeps no cross-cycle per-query state, so query deltas are a plain
-    array swap and object deltas only record the live subset — in member
-    mode the snapshot is built over ``positions[member_idx]`` with the
-    member rows as global object IDs, so reported neighbor IDs stay
-    row-stable across joins and leaves.
+    The engine rebuilds its CSR snapshot every cycle.  Its one piece of
+    cross-cycle state is the object rows of its last answer: at the next
+    answer the farthest *current* position of a query's previous k
+    neighbours bounds its new k-th distance (the paper's §3.2 incremental
+    radius), and :func:`batch_knn` takes the smaller of that bound and
+    ring growth.  A query has a bound only while all k rows are still
+    live: none after :meth:`load`, for queries admitted this cycle, when
+    a previous neighbour left, after a compaction, or for a row outside
+    the snapshot.  :meth:`set_queries` keeps the bound — any k live
+    objects bound the k-th distance from any query position.
+
+    Churn support: query deltas swap the array and remap the previous
+    answer rows; object deltas record the live subset — in member mode
+    the snapshot is built over ``positions[member_idx]`` with the member
+    rows as global object IDs, so reported neighbor IDs stay row-stable
+    across joins and leaves.
     """
 
     supports_member_idx = True
@@ -511,6 +576,9 @@ class FastGridEngine(BaseEngine):
         self._delta = delta
         self._member_idx: Optional[np.ndarray] = None
         self.csr: Optional[CSRGrid] = None
+        # (nq, k) object rows of the last answer; a row of -1 marks a
+        # query without a valid §3.2 bound.
+        self._prev_rows: Optional[np.ndarray] = None
         self.stage_history: List[StageTimings] = []
         self._snapshot_time = 0.0
         # stage_history must be populated whether or not the monitoring
@@ -535,17 +603,34 @@ class FastGridEngine(BaseEngine):
         return resolve_grid_size(self._ncells, self._delta, None)
 
     def apply_query_delta(self, delta) -> None:
-        # No cross-cycle per-query state: admitting a query churn batch
-        # is just the swap, no rebuild needed.
+        # Kept queries keep their previous answer rows (and so their
+        # bound); queries registered this cycle start without one.
         self.queries = _as_queries(delta.queries)
+        prev = self._prev_rows
+        if prev is None:
+            return
+        kept = np.asarray(delta.kept, dtype=np.intp)
+        rows = np.full((len(kept), self.k), -1, dtype=prev.dtype)
+        old = kept >= 0
+        rows[old] = prev[kept[old]]
+        self._prev_rows = rows
 
     def apply_object_delta(self, delta) -> None:
         # The snapshot is rebuilt from scratch each maintain() anyway;
-        # membership churn only updates which rows that rebuild indexes.
+        # membership churn only updates which rows that rebuild indexes,
+        # and drops the bound of every query a leaving row answered.
         self._member_idx = delta.member_idx
+        prev = self._prev_rows
+        if prev is None:
+            return
+        if delta.compacted:
+            self._prev_rows = None
+        elif len(delta.left):
+            prev[np.isin(prev, delta.left).any(axis=1)] = -1
 
     def load(self, positions: np.ndarray) -> None:
         self.stage_history = []
+        self._prev_rows = None
         self.maintain(positions)
 
     def maintain(self, positions: np.ndarray) -> None:
@@ -568,6 +653,27 @@ class FastGridEngine(BaseEngine):
     # ------------------------------------------------------------------
     # Answering: one batch_knn pass over the whole unit square
     # ------------------------------------------------------------------
+    def _bound_d2(self) -> Optional[np.ndarray]:
+        """Per-query §3.2 bound on the k-th squared distance, or ``None``.
+
+        The squared distance from each query's current position to the
+        farthest current position of its previous k neighbours; ``inf``
+        for queries without a valid bound.
+        """
+        prev = self._prev_rows
+        positions = self._positions
+        if prev is None or positions is None or len(prev) != self.n_queries:
+            return None
+        valid = ((prev >= 0) & (prev < len(positions))).all(axis=1)
+        if not valid.any():
+            return None
+        rows = positions[np.where(valid[:, None], prev, 0)]
+        ddx = rows[:, :, 0] - self.queries[:, 0, None]
+        ddy = rows[:, :, 1] - self.queries[:, 1, None]
+        bound = (ddx * ddx + ddy * ddy).max(axis=1)
+        bound[~valid] = np.inf
+        return bound
+
     def answer(self) -> List[AnswerList]:
         if self.csr is None:
             raise IndexStateError("load() must run before answer()")
@@ -577,14 +683,21 @@ class FastGridEngine(BaseEngine):
             raise NotEnoughObjectsError(k, csr.n_objects)
         nq = self.n_queries
         if nq == 0:
+            self._prev_rows = None
             self.stage_history.append(
                 StageTimings(self._snapshot_time, 0.0, 0.0, 0.0)
             )
             return []
 
         result = batch_knn(
-            csr, self.queries[:, 0], self.queries[:, 1], k, self._stage_tracer
+            csr,
+            self.queries[:, 0],
+            self.queries[:, 1],
+            k,
+            self._stage_tracer,
+            bound_d2=self._bound_d2(),
         )
+        self._prev_rows = result.top_ids
 
         answers: List[AnswerList] = []
         d_rows = result.top_d2.tolist()
@@ -602,11 +715,7 @@ class FastGridEngine(BaseEngine):
             metrics.inc("fast.answer.groups", stats["groups"])
             metrics.inc("fast.answer.candidates", stats["candidates"])
             metrics.inc("fast.answer.pairs", stats["pairs"])
-            metrics.inc(
-                "fast.answer.dense_selects"
-                if stats["dense"]
-                else "fast.answer.ragged_selects"
-            )
+            metrics.inc("fast.answer.bounded_queries", stats["bounded"])
         timings = result.timings
         self.stage_history.append(
             StageTimings(

@@ -490,8 +490,11 @@ class HierarchicalObjectIndex:
                 node = slot
             else:
                 break
-        radius = node.cell_side
-        limit = math.sqrt(2.0)  # circumscribes the unit square from any point
+        # The radius travels squared: a rescan at sqrt(worst_dist2) squared
+        # again can round below worst_dist2 and prune the cell holding an
+        # equidistant lower-id object.
+        radius2 = node.cell_side * node.cell_side
+        limit2 = 2.0  # sqrt(2) circumscribes the unit square from any point
         first = True
         while True:
             if not first:
@@ -501,20 +504,19 @@ class HierarchicalObjectIndex:
             tracer = self.tracer
             if tracer.enabled:
                 with tracer.span("region_scan"):
-                    self._scan_region(self._root, qx, qy, radius * radius, answers)
+                    self._scan_region(self._root, qx, qy, radius2, answers)
             else:
-                self._scan_region(self._root, qx, qy, radius * radius, answers)
+                self._scan_region(self._root, qx, qy, radius2, answers)
             if answers.full:
-                worst = math.sqrt(answers.worst_dist2)
-                if worst <= radius:
+                if answers.worst_dist2 <= radius2:
                     return answers
                 # The k candidates bound the true k-th distance; one more
                 # scan at that radius is guaranteed exact.
-                radius = worst
+                radius2 = answers.worst_dist2
             else:
-                if radius > limit:
+                if radius2 > limit2:
                     raise NotEnoughObjectsError(k, self.n_objects)
-                radius *= 2.0
+                radius2 *= 4.0
 
     def knn_incremental(
         self, qx: float, qy: float, k: int, previous_ids: Sequence[int]

@@ -16,12 +16,20 @@ class ConfigurationError(ReproError):
 
 
 class OutOfRegionError(ReproError):
-    """A point lies outside the unit-square region of interest ``[0, 1)^2``."""
+    """A point lies outside the region a caller accepts.
 
-    def __init__(self, x: float, y: float) -> None:
-        super().__init__(f"point ({x!r}, {y!r}) lies outside the unit square [0, 1)^2")
+    ``region`` names the checked region in the message; the default is
+    the half-open unit square ``[0, 1)^2`` of the paper's region of
+    interest.
+    """
+
+    def __init__(
+        self, x: float, y: float, region: str = "the unit square [0, 1)^2"
+    ) -> None:
+        super().__init__(f"point ({x!r}, {y!r}) lies outside {region}")
         self.x = x
         self.y = y
+        self.region = region
 
 
 class NotEnoughObjectsError(ReproError):

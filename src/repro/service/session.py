@@ -44,6 +44,7 @@ system's metrics registry; see docs/api.md ("Sessions & churn").
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
 
@@ -52,7 +53,7 @@ import numpy as np
 from ..core.config import MethodConfig
 from ..core.monitor import MonitoringSystem
 from ..engines.registry import build_system
-from ..errors import ConfigurationError, NotEnoughObjectsError
+from ..errors import ConfigurationError, NotEnoughObjectsError, OutOfRegionError
 from ..obs.registry import MetricsRegistry
 from ..state import QueryDelta, WorldStore
 
@@ -101,11 +102,44 @@ class SessionAnswer:
     neighbors: Tuple[Tuple[int, float], ...] = field(default=())
 
 
+#: Where object points must lie.  The square is closed: a point at exactly
+#: 1.0 sits on the closed edge of the last grid cell, so the ring-growth
+#: bound of the grid engines still holds for it.
+OBJECT_REGION = "the closed unit square [0, 1]^2"
+#: Query points need only be finite: the grid engines clamp queries outside
+#: the square into edge cells, which only enlarges their candidate sets.
+QUERY_REGION = "the plane (coordinates must be finite)"
+
+
 def _as_point(point, what: str) -> Tuple[float, float]:
     arr = np.asarray(point, dtype=np.float64).reshape(-1)
     if arr.shape != (2,):
         raise ConfigurationError(f"{what} must be an (x, y) pair, got {point!r}")
     return float(arr[0]), float(arr[1])
+
+
+def _object_point(point) -> Tuple[float, float]:
+    x, y = _as_point(point, "object point")
+    # Scalar comparisons only (NaN fails them): this runs once per join.
+    if not (0.0 <= x <= 1.0 and 0.0 <= y <= 1.0):
+        raise OutOfRegionError(x, y, OBJECT_REGION)
+    return x, y
+
+
+def _query_point(point) -> Tuple[float, float]:
+    x, y = _as_point(point, "query point")
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise OutOfRegionError(x, y, QUERY_REGION)
+    return x, y
+
+
+def _check_object_points(points: np.ndarray) -> None:
+    """One ``min``/``max`` pass over a bulk update (NaN fails it too)."""
+    if len(points) == 0 or (points.min() >= 0.0 and points.max() <= 1.0):
+        return
+    inside = ((points >= 0.0) & (points <= 1.0)).all(axis=1)
+    x, y = points[np.flatnonzero(~inside)[0]]
+    raise OutOfRegionError(float(x), float(y), OBJECT_REGION)
 
 
 class MonitoringSession:
@@ -279,14 +313,16 @@ class MonitoringSession:
         Returns its stable :class:`QueryHandle` — or
         :class:`AdmissionDeferred` when the admission set is full.  The
         session is single-``k``: passing a different ``k`` than the
-        session's raises :class:`~repro.errors.ConfigurationError`.
+        session's raises :class:`~repro.errors.ConfigurationError`.  A
+        query point may lie anywhere in the plane; a non-finite one
+        raises :class:`~repro.errors.OutOfRegionError`.
         """
         if k is not None and int(k) != self.k:
             raise ConfigurationError(
                 f"session answers k={self.k} queries; per-query k={k} is not "
                 "supported — run a second session for a different k"
             )
-        xy = _as_point(point, "query point")
+        xy = _query_point(point)
         deferred = self._admission_full("register_query", "query")
         if deferred is not None:
             return deferred
@@ -321,10 +357,14 @@ class MonitoringSession:
         Re-joining an id whose leave is still pending cancels the leave
         and moves the object — the net effect of leave+join in one
         admission window.  Joining an id that is live (or already
-        joining) is a :class:`~repro.errors.ConfigurationError`.
+        joining) is a :class:`~repro.errors.ConfigurationError`.  Object
+        points must lie in the closed unit square ``[0, 1]^2``; any other
+        point (NaN included) raises
+        :class:`~repro.errors.OutOfRegionError` before anything is
+        queued or recorded.
         """
         oid = int(object_id)
-        xy = _as_point(point, "object point")
+        xy = _object_point(point)
         if oid in self._pending_leave:
             del self._pending_leave[oid]
             row = self._store.row_of(oid)
@@ -364,9 +404,12 @@ class MonitoringSession:
     # Position updates (streaming, never queued or capped)
     # ------------------------------------------------------------------
     def move_object(self, object_id: int, point) -> None:
-        """Update one object's position (effective at the next snapshot)."""
+        """Update one object's position (effective at the next snapshot).
+
+        The point is checked as in :meth:`join_object`.
+        """
         oid = int(object_id)
-        xy = _as_point(point, "object point")
+        xy = _object_point(point)
         if oid in self._pending_join:
             self._pending_join[oid] = xy
             self._record({"t": "move", "oids": [oid], "xy": [[xy[0], xy[1]]]})
@@ -386,18 +429,22 @@ class MonitoringSession:
         population in :meth:`population` order.  With ``object_ids`` it
         updates exactly those objects — live or pending admission, same
         as :meth:`move_object` (a pending join's admission point is
-        updated in place).
+        updated in place).  Every point must lie in the closed unit
+        square ``[0, 1]^2``; otherwise :class:`~repro.errors.OutOfRegionError`
+        is raised and no position changes.
         """
         points = np.asarray(points, dtype=np.float64)
         if points.ndim != 2 or points.shape[1] != 2:
             raise ConfigurationError("points must be an (N, 2) array")
+        _check_object_points(points)
         if object_ids is None:
-            rows = self._store.live_rows()
-            if len(points) != len(rows):
+            n_live = self._store.n_live
+            if len(points) != n_live:
                 raise ConfigurationError(
-                    f"expected positions for all {len(rows)} live objects, "
+                    f"expected positions for all {n_live} live objects, "
                     f"got {len(points)}"
                 )
+            rows = self._store.live_index()
             live_points = points
         else:
             object_ids = np.asarray(object_ids)

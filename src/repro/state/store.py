@@ -38,7 +38,7 @@ handed out stay valid for as long as anyone holds them.
 from __future__ import annotations
 
 import itertools
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
@@ -147,6 +147,17 @@ class WorldStore:
             self._live_rows = np.flatnonzero(self._ext_of_row[: self._top] >= 0)
         return self._live_rows
 
+    def live_index(self) -> Union[slice, np.ndarray]:
+        """Index of the live population in :meth:`live_rows` order.
+
+        With no vacant row below the high-water mark the live rows are
+        exactly ``[0, top)``, and the slice lets a full-population write
+        skip the fancy-indexed scatter; otherwise :meth:`live_rows`.
+        """
+        if not self._free:
+            return slice(0, self._top)
+        return self.live_rows()
+
     def ext_ids(self, rows: np.ndarray) -> np.ndarray:
         """External ids of ``rows`` (vectorized gather)."""
         return self._ext_of_row[rows]
@@ -191,8 +202,9 @@ class WorldStore:
         self._pending[row] = True
         self._dirty = True
 
-    def write_rows(self, rows: np.ndarray, points: np.ndarray) -> None:
-        """Vectorized position write into the staging epoch."""
+    def write_rows(self, rows: Union[slice, np.ndarray], points: np.ndarray) -> None:
+        """Vectorized position write into the staging epoch (rows: an
+        index array or the slice of :meth:`live_index`)."""
         self._staging[rows] = points
         self._pending[rows] = True
         self._dirty = True

@@ -3,7 +3,8 @@
 The contract: byte-identical k-NN answer sets to the brute-force oracle
 (ties broken deterministically by object ID) under every snapshot shape —
 random, clustered, duplicated points, edge-of-domain queries, and k larger
-than the query's home-cell population.
+than the query's home-cell population — and across cycles where the
+previous answer bounds each query's radius (paper §3.2).
 """
 
 from __future__ import annotations
@@ -18,10 +19,15 @@ from repro.core.fast_index import (
     CSRGrid,
     FastGridEngine,
     StageTimings,
+    batch_knn,
+    cell_index,
+    kth_smallest,
 )
 from repro.core.monitor import MonitoringSystem
 from repro.errors import IndexStateError, NotEnoughObjectsError
 from repro.motion import RandomWalkModel, make_dataset, make_queries
+from repro.obs.registry import MetricsRegistry
+from repro.service import MonitoringSession
 
 
 def lexicographic_knn(positions, qx, qy, k):
@@ -172,27 +178,28 @@ class TestFastEngineExactness:
                 lexicographic_knn(positions, qx, qy, 9)
             )
 
-    def test_ragged_fallback_path(self, monkeypatch):
-        """The global-lexsort fallback gives the same exact answers."""
-        from repro.core import fast_index
-
+    def test_skewed_candidate_blocks_one_select(self):
+        """Candidate blocks of very different sizes rank through one select."""
         rng = np.random.default_rng(14)
-        # One huge cluster makes one query's candidate block much larger
-        # than the others', so padding would dominate: with the dense
-        # limit forced to 0, the ragged path must run.
+        # One huge cluster gives one query a candidate block far larger
+        # than the others', so the k-th-distance buckets span many
+        # powers of two.
         cluster = 0.02 * rng.random((2000, 2)) + 0.5
         sparse = rng.random((50, 2))
         positions = np.vstack([cluster, sparse])
         queries = np.vstack(
             [np.array([[0.51, 0.51]]), rng.random((9, 2)) * 0.2 + 0.75]
         )
-        expected = [
-            lexicographic_knn(positions, qx, qy, 5) for qx, qy in queries
-        ]
-        monkeypatch.setattr(fast_index, "DENSE_SELECT_LIMIT", 0)
-        answers = fast_answers(positions, queries, k=5)
-        for answer, want in zip(answers, expected):
-            assert answer.neighbors() == pytest.approx(want)
+        engine = FastGridEngine(5, queries)
+        engine.load(positions)
+        result = batch_knn(engine.csr, queries[:, 0], queries[:, 1], 5)
+        per_query = engine.csr.count_in_rects(*result.rects.T)
+        assert per_query.max() > 64 * per_query.min()
+        answers = engine.answer()
+        for answer, (qx, qy) in zip(answers, queries):
+            assert answer.neighbors() == pytest.approx(
+                lexicographic_knn(positions, qx, qy, 5)
+            )
 
     def test_skewed_dataset_cycles(self):
         """Multi-cycle run over clustered data stays exact."""
@@ -284,3 +291,150 @@ class TestFastEngineContract:
 
         system = build_system("fast_grid", 3, np.array([[0.5, 0.5]]))
         assert system.engine.name == "fast-grid"
+
+
+class TestOneSelect:
+    def test_kth_smallest_matches_sorted_runs(self):
+        rng = np.random.default_rng(40)
+        # Run lengths spread over many powers of two, duplicates included.
+        counts = np.concatenate(
+            (rng.integers(3, 9, 40), rng.integers(9, 300, 25), [5000, 3])
+        )
+        starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
+        d2 = np.round(rng.random(int(counts.sum())), 2)
+        got = kth_smallest(d2, counts, starts, 3)
+        want = [np.sort(d2[a : a + c])[2] for a, c in zip(starts, counts)]
+        assert got.tolist() == want
+
+    def test_short_run_reports_inf(self):
+        counts = np.array([4, 2])
+        d2 = np.array([0.4, 0.1, 0.3, 0.2, 0.5, 0.6])
+        got = kth_smallest(d2, counts, np.array([0, 4]), 3)
+        assert got[0] == 0.3 and np.isinf(got[1])
+
+
+def _knife_edge_cases(n, count, seed):
+    """``(qx, ox)`` pairs where ``ox`` is a cell boundary of an ``n``-cell
+    axis and the unpadded rectangle edge ``qx ± |ox - qx|`` rounds into
+    the neighbouring cell, so a rectangle built from the exact bound
+    radius would miss the object at ``ox``."""
+    rng = np.random.default_rng(seed)
+    ox = rng.integers(1, n, 200_000) / n
+    qx = rng.random(200_000)
+    d = ox - qx
+    radius = np.sqrt(d * d)
+    right = ox > qx
+    edge = np.where(right, qx + radius, qx - radius)
+    shortfall = cell_index(ox, 0.0, 1.0, n) - cell_index(edge, 0.0, 1.0, n)
+    miss = np.where(right, shortfall > 0, shortfall < 0)
+    hits = np.flatnonzero(miss)[:count]
+    assert len(hits) == count, "seed yields too few knife-edge cases"
+    return list(zip(qx[hits].tolist(), ox[hits].tolist()))
+
+
+class TestPreviousAnswerBound:
+    """The §3.2 radius: the previous k neighbours bound the k-th distance."""
+
+    def test_knife_edge_objects_at_exactly_the_bound(self):
+        """Objects on a cell boundary at exactly the bound distance.
+
+        The grid has 100 cells per side (not a power of two), the objects
+        sit on the query's y, and the previous answer makes their
+        distance the bound.  Without the radius pad the critical
+        rectangle stops one cell short of them.
+        """
+        qy = 0.505
+        for qx, ox in _knife_edge_cases(100, 6, seed=3):
+            # Two coincident objects are the 2-NN; one far decoy.
+            positions = np.array([[ox, qy], [ox, qy], [0.999, 0.001]])
+            if abs(ox - qx) > 0.9:
+                positions[2] = [0.001, 0.999]
+            registry = MetricsRegistry()
+            system = MonitoringSystem.fast_grid(
+                2, np.array([[qx, qy]]), ncells=100, registry=registry
+            )
+            system.load(positions)
+            (answer,) = system.tick(positions)
+            assert system.last_stats.counters["fast.answer.bounded_queries"] == 1
+            assert list(answer.neighbors) == lexicographic_knn(positions, qx, qy, 2)
+
+    def test_session_churn_matches_brute_force(self):
+        """Registrations, leaving neighbours and a compaction, every tick exact.
+
+        One query sits outside the unit square next to the ``(-1, -1)``
+        vacancy sentinel, and no object comes near the corner cell: if a
+        vacated row (a neighbour that left, or a row past the survivors
+        after a compaction) still fed its bound, the bound would collapse
+        onto the sentinel and the rectangle would miss every object.
+        """
+        rng = np.random.default_rng(50)
+        registry = MetricsRegistry()
+        session = MonitoringSession("fast_grid", k=3, registry=registry)
+        points = 0.4 + 0.6 * rng.random((300, 2))
+        # Rows equal ids.  The corner query's neighbours are 150-152, then
+        # 160-162 once those leave; compaction to 110 survivors leaves
+        # rows 160-162 vacant in the repacked universe.
+        points[150:153] = [[0.26, 0.26], [0.27, 0.26], [0.26, 0.27]]
+        points[160:163] = [[0.28, 0.28], [0.29, 0.28], [0.28, 0.29]]
+        for oid, point in enumerate(points.tolist()):
+            session.join_object(oid, point)
+        for point in rng.random((12, 2)).tolist() + [[-0.99, -0.98]]:
+            session.register_query(point)
+        session.tick()
+        others = [oid for oid in range(300) if oid not in range(150, 163)]
+        rng.shuffle(others)
+        leaves = [
+            [150, 151, 152] + others[:37],  # the corner query's neighbours
+            [],
+            others[37:187],  # 260 -> 110 live: compaction
+            [],
+        ]
+        for cycle, leaving in enumerate(leaves):
+            ids, points = session.population()
+            step = rng.uniform(-0.002, 0.002, points.shape)
+            session.update_positions(np.clip(points + step, 0.25, 0.999))
+            for oid in leaving:
+                session.leave_object(oid)
+            session.register_query(rng.random(2))
+            answers = session.tick()
+            ids, points = session.population()
+            for handle, query in zip(session.handles(), session.query_points()):
+                want = tuple(
+                    (int(ids[i]), dist)
+                    for i, dist in brute_force_knn(points, query[0], query[1], 3)
+                )
+                assert answers[handle].neighbors == want, (cycle, handle)
+        counters = registry.counter_values()
+        assert counters["service.compactions"] == 1
+        assert counters["service.queries_registered"] == 13 + len(leaves)
+        assert counters["fast.answer.bounded_queries"] > 0
+
+    def test_set_queries_keeps_the_bound(self):
+        rng = np.random.default_rng(51)
+        positions = rng.random((500, 2))
+        queries = rng.random((20, 2))
+        registry = MetricsRegistry()
+        system = MonitoringSystem.fast_grid(5, queries, registry=registry)
+        system.load(positions)
+        moved = np.clip(queries + rng.uniform(-0.05, 0.05, queries.shape), 0.0, 0.999)
+        system.set_queries(moved)
+        positions = np.clip(positions + rng.uniform(-0.01, 0.01, positions.shape), 0.0, 0.999)
+        answers = system.tick(positions)
+        assert system.last_stats.counters["fast.answer.bounded_queries"] > 0
+        for qa, (qx, qy) in zip(answers, moved):
+            assert list(qa.neighbors) == lexicographic_knn(positions, qx, qy, 5)
+
+    def test_no_bound_after_load_or_for_out_of_range_rows(self):
+        rng = np.random.default_rng(52)
+        positions = rng.random((300, 2))
+        queries = rng.random((10, 2))
+        registry = MetricsRegistry()
+        system = MonitoringSystem.fast_grid(4, queries, registry=registry)
+        system.load(positions)
+        system.load(positions)
+        assert "fast.answer.bounded_queries" not in system.last_stats.counters
+        # A smaller dense population: rows past its end cannot bound.
+        fewer = positions[:150]
+        answers = system.tick(fewer)
+        for qa, (qx, qy) in zip(answers, queries):
+            assert list(qa.neighbors) == lexicographic_knn(fewer, qx, qy, 4)

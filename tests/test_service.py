@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 from repro.core.config import DeltaGridConfig
-from repro.errors import ConfigurationError, NotEnoughObjectsError
+from repro.core.brute import brute_force_knn
+from repro.errors import ConfigurationError, NotEnoughObjectsError, OutOfRegionError
 from repro.obs.registry import MetricsRegistry
 from repro.service import (
     AdmissionDeferred,
@@ -279,6 +280,87 @@ class TestPositions:
                 s.update_positions(np.zeros((1, 3)))  # wrong shape
             with pytest.raises(ConfigurationError):
                 s.update_positions([(0.5, 0.5)], object_ids=[999])
+
+
+class TestInputBoundary:
+    """Points are checked before anything is written, queued or recorded."""
+
+    def test_far_object_is_rejected_at_join(self):
+        """An object outside the square used to break the grid engines'
+        ring-growth bound: clamped into an edge cell, it was answered at
+        distance 2.03 ahead of a nearer object at 0.47."""
+        rng = np.random.default_rng(7)
+        with make_session(k=1) as s:
+            points = rng.random((400, 2)) * [0.5, 1.0]
+            for oid, point in enumerate(points.tolist()):
+                s.join_object(oid, point)
+            with pytest.raises(OutOfRegionError, match=r"\[0, 1\]\^2"):
+                s.join_object(999, (3.0, 0.5))
+            assert s.pending_deltas == 400
+            h = s.register_query((0.97, 0.5))
+            answer = s.tick()[h]
+            (want,) = brute_force_knn(points, 0.97, 0.5, 1)
+            assert answer.neighbors == (want,)
+
+    @pytest.mark.parametrize(
+        "point", [(-0.1, 0.5), (0.5, 1.5), (float("nan"), 0.5), (0.5, float("inf"))]
+    )
+    def test_bad_object_points_raise(self, point):
+        with make_session() as s:
+            seed(s, n=4)
+            s.tick()
+            with pytest.raises(OutOfRegionError):
+                s.join_object(50, point)
+            with pytest.raises(OutOfRegionError):
+                s.move_object(1, point)
+            assert not s.store.contains(50) and s.pending_deltas == 0
+
+    def test_closed_edge_is_accepted(self):
+        with make_session() as s:
+            seed(s, n=4)
+            s.join_object(9, (1.0, 1.0))
+            s.move_object(0, (0.0, 1.0))
+            s.tick()
+            ids, pos = s.population()
+            assert tuple(pos[ids == 9][0]) == (1.0, 1.0)
+
+    def test_nan_update_leaves_positions_unchanged(self):
+        with make_session() as s:
+            seed(s, n=6)
+            s.tick()
+            _, before = s.population()
+            bad = before.copy()
+            bad[3, 1] = np.nan
+            with pytest.raises(OutOfRegionError) as info:
+                s.update_positions(bad)
+            assert np.isnan(info.value.y)
+            with pytest.raises(OutOfRegionError):
+                s.update_positions([(0.5, 0.5), (1.5, 0.5)], object_ids=[0, 1])
+            _, after = s.population()
+            assert np.array_equal(before, after)
+
+    def test_queries_need_only_be_finite(self):
+        with make_session() as s:
+            seed(s, n=6)
+            h = s.register_query((2.5, -1.0))
+            with pytest.raises(OutOfRegionError, match="finite"):
+                s.register_query((float("nan"), 0.5))
+            assert s.pending_deltas == 7
+            assert h in s.tick()
+
+    def test_full_population_write_after_churn(self):
+        """Vacant rows force the gathered write; rows are still matched."""
+        with make_session() as s:
+            seed(s, n=6)
+            s.tick()
+            s.leave_object(2)
+            s.tick()
+            ids, pos = s.population()
+            s.update_positions(pos[::-1].copy())
+            s.tick()
+            ids_after, pos_after = s.population()
+            assert np.array_equal(ids, ids_after)
+            assert np.array_equal(pos_after, pos[::-1])
 
 
 class TestConstruction:

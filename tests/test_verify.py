@@ -13,6 +13,7 @@ Covers the four tentpole pieces end to end:
 """
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -537,6 +538,28 @@ def test_fuzz_fifty_scenarios_all_methods(tmp_path):
         ]
     )
     assert code == 0
+
+
+# ----------------------------------------------------------------------
+# Shrunk fuzz traces kept as regression tests
+# ----------------------------------------------------------------------
+TRACES = Path(__file__).parent / "traces"
+
+
+class TestRegressionTraces:
+    def test_hierarchical_tie_seed150(self):
+        """Fuzz seed 150, shrunk to 2 cycles / 8 events.
+
+        Objects 4, 27, 33 and 35 lie at one distance from the query.  The
+        hierarchical overhaul rescanned at ``sqrt(worst_dist2)`` squared
+        again, which rounds below ``worst_dist2`` and pruned the cell of
+        object 33, so it answered 35 in its place.
+        """
+        workload = load_trace(str(TRACES / "hierarchical_tie_seed150.jsonl"))
+        assert (workload.n_cycles, workload.n_events) == (2, 8)
+        specs = make_specs(["all"], overrides={"ncells": 4})
+        report = run_differential(workload, specs)
+        assert report.ok, report.divergences or report.errors
 
 
 # ----------------------------------------------------------------------
