@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core.monitor import MonitoringSystem
+from repro.engines.registry import build_system
 from repro.motion import LinearMotionModel, make_dataset, make_queries
 from repro.tprtree import TPREngine, TPRTree
 
@@ -102,7 +103,7 @@ def test_degeneration_slows_tpr_but_not_grid(workload):
         return sum(s.total_time for s in system.history[2:]) / 2
 
     tpr = lambda: MonitoringSystem(TPREngine(10, queries))
-    grid = lambda: MonitoringSystem.object_indexing(10, queries)
+    grid = lambda: build_system("object_indexing", 10, queries)
     tpr_stable = mean_cycle(0.0, tpr)
     tpr_volatile = mean_cycle(1.0, tpr)
     grid_stable = mean_cycle(0.0, grid)

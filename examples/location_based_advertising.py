@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro import MonitoringSystem, RandomWalkModel, make_dataset
+from repro import RandomWalkModel, build_system, make_dataset
 
 N_CUSTOMERS = 30_000
 N_STORES = 8
@@ -31,8 +31,8 @@ def main() -> None:
 
     # Few queries + many objects: Query-Indexing with incremental
     # maintenance of the critical regions.
-    system = MonitoringSystem.query_indexing(
-        k=K_FLYERS, queries=stores, maintenance="incremental"
+    system = build_system(
+        "query_indexing", k=K_FLYERS, queries=stores, maintenance="incremental"
     )
     system.load(customers)
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro import MonitoringSystem, RandomWalkModel, make_dataset
+from repro import RandomWalkModel, build_system, make_dataset
 
 N_PLAYERS = 2_000
 N_TRACKED = 25  # players whose HUD we render
@@ -29,8 +29,8 @@ def main() -> None:
 
     # The tracked players' own positions are the queries.
     tracked = rng.choice(N_PLAYERS, size=N_TRACKED, replace=False)
-    system = MonitoringSystem.object_indexing(
-        k=K + 1,  # the nearest "neighbor" of a player is the player itself
+    system = build_system(
+        "object_indexing", k=K + 1,  # the nearest "neighbor" of a player is the player itself
         queries=players[tracked],
         maintenance="incremental",
         answering="incremental",

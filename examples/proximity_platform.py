@@ -9,9 +9,10 @@ One population of moving users serves four concurrent products:
   friends to summon, minimising total travel;
 * **geofences** (range): users inside each monitored zone.
 
-Asynchronous position reports flow through a snapshot buffer
-(:class:`repro.PositionBuffer`), and a :class:`repro.DeltaTracker`
-turns raw answers into notification events.
+Asynchronous position reports are staged in a :class:`repro.WorldStore`
+(the paper's report buffer), each cycle reads the snapshot it publishes,
+and a :class:`repro.DeltaTracker` turns raw answers into notification
+events.
 
 Run with::
 
@@ -26,11 +27,11 @@ from repro import (
     CircleRegion,
     DeltaTracker,
     GNNMonitor,
-    MonitoringSystem,
-    PositionBuffer,
     RKNNMonitor,
     RangeMonitor,
     RectRegion,
+    WorldStore,
+    build_system,
     make_dataset,
     make_queries,
 )
@@ -52,12 +53,12 @@ def main() -> None:
         CircleRegion(0.25, 0.75, 0.08),  # stadium
     ]
 
-    # The report buffer and the monitoring system compose directly:
-    # system.tick(buffer.publish()) is one full cycle, zero-copy from
-    # the buffer's world store into the engine.
-    reports = PositionBuffer(users)
-    radar = MonitoringSystem.object_indexing(
-        5, tracked, maintenance="incremental", answering="incremental"
+    # The world store is the report buffer: reports stage with write_rows,
+    # and system.tick(reports.publish()) is one full cycle over a read-only
+    # snapshot, zero-copy from the store into the engine.
+    reports = WorldStore(users)
+    radar = build_system(
+        "object_indexing", 5, tracked, maintenance="incremental", answering="incremental"
     )
     audience = RKNNMonitor(10, venues)
     meetup = GNNMonitor(3, friend_groups, aggregate="sum")
@@ -71,7 +72,7 @@ def main() -> None:
         movers = rng.choice(N_USERS, size=N_USERS // 3, replace=False)
         jitter = rng.uniform(-0.01, 0.01, size=(len(movers), 2))
         new_positions = np.clip(current[movers] + jitter, 0.0, 1.0 - 1e-9)
-        reports.report_batch(movers.tolist(), new_positions)
+        reports.write_rows(movers, new_positions)
         current[movers] = new_positions
 
         # One synchronized cycle across all products.

@@ -7,7 +7,7 @@ Run with::
 
 from __future__ import annotations
 
-from repro import MonitoringSystem, RandomWalkModel, make_dataset, make_queries
+from repro import RandomWalkModel, build_system, make_dataset, make_queries
 
 
 def main() -> None:
@@ -18,7 +18,7 @@ def main() -> None:
 
     # The default method: one-level grid Object-Indexing at the optimal
     # cell size (delta* = 1/sqrt(NP)), rebuilt from scratch each cycle.
-    system = MonitoringSystem.object_indexing(k=5, queries=queries)
+    system = build_system("object_indexing", k=5, queries=queries)
 
     answers = system.load(objects)
     print(f"initial answers at t={answers[0].timestamp}:")

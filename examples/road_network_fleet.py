@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro import MonitoringSystem, RoadNetworkModel, synthetic_road_network
+from repro import RoadNetworkModel, build_system, synthetic_road_network
 from repro.motion import skewness_statistic
 
 N_VEHICLES = 5_000
@@ -36,8 +36,8 @@ def main() -> None:
     hubs = network.major_intersections(N_DISPATCH)
     dispatch_points = network.node_positions[hubs]
 
-    system = MonitoringSystem.hierarchical(
-        k=K, queries=dispatch_points, delta0=0.1, max_cell_load=10, split_factor=3
+    system = build_system(
+        "hierarchical", k=K, queries=dispatch_points, delta0=0.1, max_cell_load=10, split_factor=3
     )
     positions = fleet.positions()
     system.load(positions)

@@ -5,14 +5,13 @@ Neighbor Queries Over Moving Objects* (ICDE 2005).
 
 Quickstart::
 
-    import numpy as np
-    from repro import MonitoringSystem, make_dataset, make_queries, RandomWalkModel
+    from repro import build_system, make_dataset, make_queries, RandomWalkModel
 
     objects = make_dataset("uniform", n=10_000, seed=7)
     queries = make_queries(100, seed=11)
     motion = RandomWalkModel(vmax=0.005, seed=13)
 
-    system = MonitoringSystem.object_indexing(k=10, queries=queries)
+    system = build_system("object_indexing", k=10, queries=queries)
     system.load(objects)
     for _ in range(10):
         objects = motion.step(objects)
@@ -24,19 +23,14 @@ from .core import (
     AnswerDelta,
     AnswerList,
     CircleRegion,
-    CycleStats,
     DeltaTracker,
-    DynamicPopulation,
     GNNMonitor,
     GroupQuery,
     HierarchicalObjectIndex,
     KNNJoinMonitor,
-    KeyedAnswer,
     MethodConfig,
-    MonitoringService,
     MonitoringSystem,
     ObjectIndex,
-    PositionBuffer,
     QueryAnswer,
     QueryIndex,
     RKNNMonitor,
@@ -111,11 +105,9 @@ __all__ = [
     "CircleRegion",
     "ConfigurationError",
     "CyclePipeline",
-    "CycleStats",
     "CycleTiming",
     "DeltaTracker",
     "DispersionProcess",
-    "DynamicPopulation",
     "FastGridEngine",
     "GNNMonitor",
     "Grid2D",
@@ -123,12 +115,10 @@ __all__ = [
     "HierarchicalObjectIndex",
     "IndexStateError",
     "KNNJoinMonitor",
-    "KeyedAnswer",
     "LinearMotionModel",
     "METHOD_CONFIGS",
     "MethodConfig",
     "MetricsRegistry",
-    "MonitoringService",
     "MonitoringSession",
     "MonitoringSystem",
     "NULL_REGISTRY",
@@ -136,7 +126,6 @@ __all__ = [
     "NullRegistry",
     "ObjectIndex",
     "OutOfRegionError",
-    "PositionBuffer",
     "QueryAnswer",
     "QueryIndex",
     "RKNNMonitor",

@@ -3,9 +3,7 @@
 from .experiments import EXPERIMENTS, run_experiment
 from .results import ExperimentResult, format_table
 from .runner import (
-    METHOD_FACTORIES,
     CycleTiming,
-    make_system,
     measure_cycles,
     measure_method,
 )
@@ -14,9 +12,7 @@ __all__ = [
     "CycleTiming",
     "EXPERIMENTS",
     "ExperimentResult",
-    "METHOD_FACTORIES",
     "format_table",
-    "make_system",
     "measure_cycles",
     "measure_method",
     "run_experiment",

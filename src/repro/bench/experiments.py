@@ -19,7 +19,6 @@ import numpy as np
 
 from ..core.cost_model import fit_power_law, linearity_r2, pr_exit
 from ..core.hierarchical import HierarchicalObjectIndex
-from ..core.monitor import MonitoringSystem
 from ..motion import (
     DispersionProcess,
     RandomWalkModel,
@@ -403,15 +402,14 @@ def ablation_containers(scale: float = 1.0) -> ExperimentResult:
         "deletion, so the difference is a small constant (the paper's "
         "binary-tree recommendation targets C++)",
     )
-    from ..core.monitor import MonitoringSystem as MS
-
     for vmax in (0.001, 0.005, 0.02):
         timings = []
         for sorted_cells in (False, True):
             queries = make_queries(n_queries, seed=SEED + 1)
             positions = make_dataset("uniform", n_objects, seed=SEED)
-            system = MS.object_indexing(
-                K0, queries, maintenance="incremental", answering="incremental"
+            system = build_system(
+                "object_indexing", K0, queries,
+                maintenance="incremental", answering="incremental",
             )
             system.engine._make_index = (  # route the ablation flag in
                 lambda n, flag=sorted_cells: _sorted_index(n, flag)
@@ -443,7 +441,6 @@ def ablation_tpr_degeneration(scale: float = 1.0) -> ExperimentResult:
     against the grid.
     """
     from ..motion.linear import LinearMotionModel
-    from ..tprtree import TPREngine
 
     n_objects = _n(NP0 / 4, scale)
     n_queries = _n(NQ0 / 4, scale)
@@ -457,8 +454,8 @@ def ablation_tpr_degeneration(scale: float = 1.0) -> ExperimentResult:
         "R-tree territory while the grid is unaffected",
     )
     for change_probability in (0.0, 0.1, 0.5, 1.0):
-        engine = TPREngine(K0, queries)
-        tpr_system = MonitoringSystem(engine)
+        tpr_system = build_system("tpr", K0, queries)
+        engine = tpr_system.engine
         grid_system = build_system("object_overhaul", K0, queries)
         positions = make_dataset("uniform", n_objects, seed=SEED)
         motion = LinearMotionModel(

@@ -12,14 +12,10 @@ Timing records come straight from the engine layer's unified pipeline:
 (via :meth:`~repro.engines.base.CycleTiming.from_history`) the
 steady-state summary this module returns.  System construction resolves
 through the single engine registry
-(:func:`repro.engines.registry.build_system`); the former local
-``make_system`` remains as a deprecated alias.
+(:func:`repro.engines.registry.build_system`).
 """
 
 from __future__ import annotations
-
-import warnings
-from typing import Callable, Mapping
 
 import numpy as np
 
@@ -32,9 +28,7 @@ from ..obs.registry import MetricsRegistry
 
 __all__ = [
     "BENCH_PRESETS",
-    "METHOD_FACTORIES",
     "CycleTiming",
-    "make_system",
     "measure_cycles",
     "measure_method",
 ]
@@ -61,45 +55,6 @@ def measure_cycles(
         current = motion.step(current)
         system.tick(current)
     return CycleTiming.from_history(system.history)
-
-
-def make_system(method: str, k: int, queries: np.ndarray, **kwargs) -> MonitoringSystem:
-    """Deprecated alias of :func:`repro.engines.registry.build_system`.
-
-    ``method`` may be a benchmark preset (``object_overhaul``, ...) or any
-    bare registry method name (``object_indexing``, ``sharded``, ...);
-    keyword arguments override the preset's options.
-    """
-    warnings.warn(
-        "repro.bench.runner.make_system() is deprecated; use "
-        "repro.engines.registry.build_system() or MonitoringSystem.create()",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return build_system(method, k, queries, **kwargs)
-
-
-class _PresetFactories(Mapping):
-    """Read-only ``METHOD_FACTORIES`` view kept for backward compatibility.
-
-    Historic callers index this mapping for a ``(k, queries, **kw)``
-    factory; entries now close over :func:`build_system` so every path
-    goes through the engine registry.
-    """
-
-    def __getitem__(self, method: str) -> Callable[..., MonitoringSystem]:
-        if method not in BENCH_PRESETS:
-            raise KeyError(method)
-        return lambda k, q, **kw: build_system(method, k, q, **kw)
-
-    def __iter__(self):
-        return iter(BENCH_PRESETS)
-
-    def __len__(self) -> int:
-        return len(BENCH_PRESETS)
-
-
-METHOD_FACTORIES: Mapping[str, Callable[..., MonitoringSystem]] = _PresetFactories()
 
 
 def measure_method(

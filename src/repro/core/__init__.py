@@ -15,12 +15,10 @@ from .cost_model import (
     pr_exit,
     pr_exit_paper,
 )
-from .buffer import MonitoringService, PositionBuffer
 from .deltas import AnswerDelta, DeltaTracker, answer_delta
 from .gnn import GNNMonitor, GroupQuery, brute_force_group_knn, group_knn
 from .hierarchical import HierarchicalObjectIndex
 from .knn_join import KNNJoinMonitor, brute_force_knn_join
-from .population import DynamicPopulation, KeyedAnswer
 from .range_monitor import (
     CircleRegion,
     RangeMonitor,
@@ -45,16 +43,7 @@ from .config import (
     ShardedConfig,
     TPRConfig,
 )
-from .monitor import (
-    BaseEngine,
-    BruteForceEngine,
-    CycleStats,
-    HierarchicalEngine,
-    MonitoringSystem,
-    ObjectIndexingEngine,
-    QueryIndexingEngine,
-    RTreeEngine,
-)
+from .monitor import MonitoringSystem
 from .fast_index import CSRGrid, FastGridEngine, StageTimings
 from .object_index import ObjectIndex
 from .query_index import QueryIndex
@@ -64,13 +53,9 @@ __all__ = [
     "AnswerList",
     "CircleRegion",
     "DeltaTracker",
-    "DynamicPopulation",
     "GNNMonitor",
     "GroupQuery",
     "KNNJoinMonitor",
-    "KeyedAnswer",
-    "MonitoringService",
-    "PositionBuffer",
     "RKNNMonitor",
     "RangeMonitor",
     "RectRegion",
@@ -85,11 +70,8 @@ __all__ = [
     "group_knn",
     "knn_self_join",
     "knn_self_join_incremental",
-    "BaseEngine",
     "BruteForceConfig",
-    "BruteForceEngine",
     "CSRGrid",
-    "CycleStats",
     "FastGridConfig",
     "HierarchicalConfig",
     "METHOD_CONFIGS",
@@ -101,17 +83,13 @@ __all__ = [
     "TPRConfig",
     "FastGridEngine",
     "StageTimings",
-    "HierarchicalEngine",
     "HierarchicalObjectIndex",
     "MonitoringSystem",
     "Neighbor",
     "ObjectIndex",
     "ObjectIndexingCost",
-    "ObjectIndexingEngine",
     "QueryAnswer",
     "QueryIndex",
-    "QueryIndexingEngine",
-    "RTreeEngine",
     "Recommendation",
     "SkewedQueryCost",
     "WorkloadProfile",

@@ -50,7 +50,7 @@ class WorkloadProfile:
 class Recommendation:
     """A configuration choice plus the reasoning that produced it."""
 
-    method: str  # a METHOD_FACTORIES name (repro.bench.runner)
+    method: str  # a build_system name (repro.engines.registry)
     maintenance: str
     answering: str
     reasons: List[str] = field(default_factory=list)
@@ -150,7 +150,7 @@ def calibrate(
     """
     from ..motion import RandomWalkModel, make_dataset, make_queries
     from .cost_model import expected_knn_radius_uniform
-    from .monitor import MonitoringSystem
+    from ..engines.registry import build_system
 
     sizes = [max(500, n_objects // 4), n_objects, n_objects * 2]
     build_times = []
@@ -159,7 +159,7 @@ def calibrate(
     for size in sizes:
         positions = make_dataset("uniform", size, seed=seed)
         queries = make_queries(n_queries, seed=seed + 1)
-        system = MonitoringSystem.object_indexing(k, queries)
+        system = build_system("object_indexing", k, queries)
         motion = RandomWalkModel(vmax=0.005, seed=seed + 2)
         system.load(positions)
         for _ in range(3):

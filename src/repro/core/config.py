@@ -1,4 +1,4 @@
-"""Typed per-method configuration behind the unified ``create()`` API.
+"""Typed per-method configuration behind ``build_system()``.
 
 One frozen dataclass per monitoring method holds every tunable that
 method accepts after ``(k, queries)``.  The dataclasses are the single
@@ -8,14 +8,13 @@ a :class:`~repro.errors.ConfigurationError` that lists the valid fields,
 so a typo like ``ncell=64`` fails loudly instead of being swallowed by a
 ``**kwargs`` sink.  Value validation (mode strings, ranges) stays where
 it always was — in the engine constructors — so direct engine users get
-the same errors as ``create()`` users.
+the same errors as ``build_system()`` users.
 
 :data:`METHOD_CONFIGS` maps public method names to their config classes;
 :func:`make_engine` instantiates the engine for a config (with late
-imports, since the engines import this module's neighbors).  Every
-factory — :meth:`~repro.core.monitor.MonitoringSystem.create`,
+imports, since the engines import this module's neighbors).
 :func:`repro.engines.registry.build_system`, the bench presets, and the
-session layer's config dicts — resolves methods through this registry.
+session layer's config dicts all resolve methods through this registry.
 """
 
 from __future__ import annotations

@@ -8,15 +8,12 @@ recomputed.  Each returned answer carries the snapshot timestamp it is
 exact for.
 
 The engines themselves live in :mod:`repro.engines` (one module per
-method, resolved through the single table in
-:mod:`repro.engines.registry`); cycle sequencing and timing capture live
-in :class:`repro.engines.base.CyclePipeline`.  This module re-exports
-the engine classes and the cycle record type so historic imports
-(``from repro.core.monitor import BaseEngine, CycleStats, ...``) keep
-working.
+method); cycle sequencing and timing capture live in
+:class:`repro.engines.base.CyclePipeline`.  Build a system by method name
+with :func:`repro.engines.registry.build_system`, the one factory:
 
 ===========================  ==================================================
-Factory                      Paper method
+Method                       Paper method
 ===========================  ==================================================
 ``object_indexing``          one-level Object-Indexing (§3.1, §3.2)
 ``query_indexing``           Query-Indexing (§3.3)
@@ -31,11 +28,10 @@ Factory                      Paper method
                              scale-out path; see :mod:`repro.shard`)
 ===========================  ==================================================
 
-All factories are thin delegates of the unified entry point
-:meth:`MonitoringSystem.create`, which resolves a method name through the
-engine registry and its typed :class:`~repro.core.config.MethodConfig`
-block — unknown keyword arguments fail with a
-:class:`~repro.errors.ConfigurationError` naming the valid fields.
+``build_system`` resolves the name through the engine registry and its
+typed :class:`~repro.core.config.MethodConfig` block — unknown keyword
+arguments fail with a :class:`~repro.errors.ConfigurationError` naming
+the valid fields.
 """
 
 from __future__ import annotations
@@ -44,18 +40,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from ..engines.base import (  # noqa: F401  (re-exported compatibility surface)
-    BaseEngine,
-    CyclePipeline,
-    CycleStats,
-    CycleTiming,
-    _as_queries,
-)
-from ..engines.brute import BruteForceEngine  # noqa: F401
-from ..engines.hierarchical import HierarchicalEngine  # noqa: F401
-from ..engines.object_indexing import ObjectIndexingEngine  # noqa: F401
-from ..engines.query_indexing import QueryIndexingEngine  # noqa: F401
-from ..engines.rtree_engine import RTreeEngine  # noqa: F401
+from ..engines.base import BaseEngine, CyclePipeline, CycleTiming
 from ..errors import ConfigurationError, IndexStateError
 from ..obs.registry import MetricsRegistry
 from .answers import AnswerList, QueryAnswer
@@ -64,8 +49,9 @@ from .answers import AnswerList, QueryAnswer
 class MonitoringSystem:
     """Continuous k-NN monitor over a population of moving objects.
 
-    Construct with one of the factory methods, :meth:`load` the first
-    snapshot, then call :meth:`tick` once per cycle with each new snapshot.
+    Construct with :func:`~repro.engines.registry.build_system`,
+    :meth:`load` the first snapshot, then call :meth:`tick` once per cycle
+    with each new snapshot.
     """
 
     def __init__(
@@ -105,93 +91,6 @@ class MonitoringSystem:
     @tracer.setter
     def tracer(self, value) -> None:
         self.pipeline.tracer = value
-
-    # -- unified factory + per-method delegates ------------------------
-    @classmethod
-    def create(
-        cls,
-        method: str,
-        k: int,
-        queries: np.ndarray,
-        *,
-        config=None,
-        tau: float = 1.0,
-        registry: Optional[MetricsRegistry] = None,
-        **overrides,
-    ) -> "MonitoringSystem":
-        """Build a monitoring system by method name.
-
-        This is the same canonical entry point as
-        :func:`repro.engines.registry.build_system` — ``create`` is a
-        thin delegate of it, so both accept the same names: any method
-        in :data:`~repro.core.config.METHOD_CONFIGS` *or* any benchmark
-        preset in :data:`~repro.engines.registry.BENCH_PRESETS`.  Method
-        options come from a typed ``config`` block, a plain config dict
-        (``{"method": ..., ...}`` — see
-        :meth:`~repro.core.config.MethodConfig.from_dict`), or keyword
-        ``overrides`` — with overrides applied on top.  Unknown option
-        names raise :class:`~repro.errors.ConfigurationError` listing
-        the valid fields.
-        """
-        from ..engines.registry import build_system
-
-        return build_system(
-            method, k, queries, config=config, tau=tau, registry=registry,
-            **overrides,
-        )
-
-    @classmethod
-    def object_indexing(cls, k, queries, *, tau=1.0, registry=None, **options):
-        return cls.create("object_indexing", k, queries, tau=tau, registry=registry, **options)
-
-    @classmethod
-    def query_indexing(cls, k, queries, *, tau=1.0, registry=None, **options):
-        return cls.create("query_indexing", k, queries, tau=tau, registry=registry, **options)
-
-    @classmethod
-    def hierarchical(cls, k, queries, *, tau=1.0, registry=None, **options):
-        return cls.create("hierarchical", k, queries, tau=tau, registry=registry, **options)
-
-    @classmethod
-    def rtree(cls, k, queries, *, tau=1.0, registry=None, **options):
-        return cls.create("rtree", k, queries, tau=tau, registry=registry, **options)
-
-    @classmethod
-    def brute_force(cls, k, queries, *, tau=1.0, registry=None):
-        return cls.create("brute_force", k, queries, tau=tau, registry=registry)
-
-    @classmethod
-    def fast_grid(cls, k, queries, *, tau=1.0, registry=None, **options):
-        """Vectorized CSR-grid engine with batched multi-query answering.
-
-        The production fast path: exact answers (ties broken by object
-        ID), same cycle contract as the paper engines.  See
-        :mod:`repro.core.fast_index`.
-        """
-        return cls.create("fast_grid", k, queries, tau=tau, registry=registry, **options)
-
-    @classmethod
-    def delta_grid(cls, k, queries, *, tau=1.0, registry=None, **options):
-        """Incrementally maintained CSR engine with answer reuse.
-
-        Same exact answers as ``fast_grid`` (bit-identical, ties broken
-        by object ID) but the snapshot is patched or counting-sort
-        rebuilt in place instead of rebuilt from scratch, and queries
-        whose critical rectangle saw no change carry their previous
-        answer forward.  See :mod:`repro.core.delta_index`.
-        """
-        return cls.create("delta_grid", k, queries, tau=tau, registry=registry, **options)
-
-    @classmethod
-    def sharded(cls, k, queries, *, tau=1.0, registry=None, **options):
-        """Stripe-sharded multiprocess engine (see :mod:`repro.shard`).
-
-        ``workers`` sets the worker-pool size (``0`` = serial in-process
-        fallback, identical answers) and ``shards`` the stripe count
-        (default: one per worker).  The pool holds OS resources — call
-        :meth:`close` (or use the system as a context manager) when done.
-        """
-        return cls.create("sharded", k, queries, tau=tau, registry=registry, **options)
 
     # -- monitoring ----------------------------------------------------
     @property

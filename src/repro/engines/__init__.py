@@ -15,7 +15,6 @@
 from .base import (
     BaseEngine,
     CyclePipeline,
-    CycleStats,
     CycleTiming,
 )
 from .brute import BruteForceEngine
@@ -44,7 +43,6 @@ __all__ = [
     "BaseEngine",
     "BruteForceEngine",
     "CyclePipeline",
-    "CycleStats",
     "CycleTiming",
     "ENGINE_PATHS",
     "FastGridEngine",

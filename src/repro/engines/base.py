@@ -12,13 +12,10 @@ binding (metrics registry + tracer propagation into the engine).  Each
 executed cycle appends one :class:`CycleTiming` record to
 :attr:`CyclePipeline.history`.
 
-:class:`CycleTiming` is the single cycle-timing type of the repository.
-It replaces both the former ``CycleStats`` (per-cycle record of the
-monitor layer) and the former bench-layer ``CycleTiming`` (steady-state
-means): a record with ``cycles == 1`` is one cycle's breakdown, and
+:class:`CycleTiming` is the single cycle-timing type of the repository:
+a record with ``cycles == 1`` is one cycle's breakdown, and
 :meth:`CycleTiming.from_history` folds a history into the steady-state
-means the benchmark tables print.  ``CycleStats`` remains as an alias of
-this class for backward compatibility.
+means the benchmark tables print.
 """
 
 from __future__ import annotations
@@ -114,14 +111,9 @@ class BaseEngine(abc.ABC):
     # ------------------------------------------------------------------
     def request_rebuild(self) -> None:
         """Ask the pipeline to run :meth:`load` instead of :meth:`maintain`
-        on the next cycle (cross-cycle state is about to be invalid)."""
+        on the next cycle (cross-cycle state is about to be invalid).  The
+        request stands until a :meth:`load` returns."""
         self._rebuild_pending = True
-
-    def take_rebuild_request(self) -> bool:
-        """Consume a pending rebuild request (pipeline-internal)."""
-        pending = self._rebuild_pending
-        self._rebuild_pending = False
-        return pending
 
     def apply_query_delta(self, delta: QueryDelta) -> None:
         """Admit one cycle's batched query registrations and drops.
@@ -239,11 +231,6 @@ class CycleTiming:
         return span_seconds(self.counters or {})
 
 
-#: Backward-compatible alias — the per-cycle records and the steady-state
-#: means are the same type now (see the class docstring).
-CycleStats = CycleTiming
-
-
 class CyclePipeline:
     """Owns the load/maintain/answer sequencing of a monitoring engine.
 
@@ -302,11 +289,12 @@ class CyclePipeline:
         :meth:`~BaseEngine.maintain` runs under the ``maintain`` span.
         An engine-requested rebuild (:meth:`BaseEngine.request_rebuild`,
         the churn-delta fallback) also routes through :meth:`load` — but
-        mid-stream, so :attr:`history` keeps accumulating.
+        mid-stream, so :attr:`history` keeps accumulating.  The request is
+        cleared only when that :meth:`load` returns.
         """
         world = as_world_snapshot(positions)
         registry = self.registry
-        reload = self.engine.take_rebuild_request() or initial
+        reload = self.engine._rebuild_pending or initial
         before = registry.counter_values() if registry.enabled else None
         if reload and not initial:
             registry.inc("cycle.churn_rebuilds")
@@ -314,6 +302,9 @@ class CyclePipeline:
         with self.tracer.span("load" if reload else "maintain"):
             if reload:
                 self.engine.load(world)
+                # Cleared only once the rebuild returns: a load that raises
+                # leaves the request standing for the next cycle.
+                self.engine._rebuild_pending = False
             else:
                 self.engine.maintain(world)
         index_time = time.perf_counter() - start

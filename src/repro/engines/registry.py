@@ -1,11 +1,12 @@
 """The single engine registry: method name -> engine class.
 
 Every path that turns a method name into a running system resolves
-through this table — :meth:`repro.core.monitor.MonitoringSystem.create`,
-the benchmark presets (:data:`BENCH_PRESETS`), and the experiment
-functions in :mod:`repro.bench.experiments`.  Engine classes are looked
-up lazily by dotted path so importing the registry stays cheap (the
-sharded engine, for instance, drags in ``multiprocessing``).
+through this table via :func:`build_system`, the one system factory:
+the session, the benchmark presets (:data:`BENCH_PRESETS`) and the
+experiment functions in :mod:`repro.bench.experiments` all call it.
+Engine classes are looked up lazily by dotted path so importing the
+registry stays cheap (the sharded engine, for instance, drags in
+``multiprocessing``).
 """
 
 from __future__ import annotations
@@ -60,8 +61,8 @@ def make_engine(config: MethodConfig, k: int, queries: np.ndarray) -> BaseEngine
 
 # Benchmark method names -> (registry method, preset options).  Each entry
 # maps to one line in the paper's figures; systems are built through the
-# same MethodConfig registry as MonitoringSystem.create, so preset names
-# and caller overrides are validated identically everywhere.
+# same MethodConfig registry as bare method names, so preset names and
+# caller overrides are validated identically everywhere.
 BENCH_PRESETS: Dict[str, Tuple[str, Dict[str, object]]] = {
     "object_overhaul": (
         "object_indexing", {"maintenance": "rebuild", "answering": "overhaul"}
@@ -121,9 +122,7 @@ def build_system(
 ):
     """Build a :class:`~repro.core.monitor.MonitoringSystem` by name.
 
-    The canonical system factory —
-    :meth:`repro.core.monitor.MonitoringSystem.create` delegates here,
-    so the two names are one entry point.  ``method`` may be a benchmark
+    The one system factory.  ``method`` may be a benchmark
     preset (``object_overhaul``, ...) or any bare registry method name
     (``object_indexing``, ``sharded``, ...); ``config`` may be a typed
     :class:`~repro.core.config.MethodConfig` block or a plain dict

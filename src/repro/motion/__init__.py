@@ -12,14 +12,11 @@ from .datasets import (
 from .dispersion import DispersionProcess
 from .linear import LinearMotionModel
 from .random_walk import RandomWalkModel, reflect_into_unit
-from .trace import MotionTrace, TraceReplay
 
 __all__ = [
     "DispersionProcess",
     "LinearMotionModel",
-    "MotionTrace",
     "RandomWalkModel",
-    "TraceReplay",
     "gaussian_clusters_dataset",
     "hi_skewed_dataset",
     "make_dataset",

@@ -32,7 +32,7 @@ _LABEL_ESCAPES = str.maketrans({"\\": r"\\", '"': r"\"", "\n": r"\n"})
 # JSONL event log
 # ----------------------------------------------------------------------
 def history_records(history: Sequence[Any]) -> List[Dict[str, Any]]:
-    """Per-cycle JSON-ready records from a list of ``CycleStats``."""
+    """Per-cycle JSON-ready records from a list of ``CycleTiming``."""
     records = []
     for cycle, stats in enumerate(history):
         record: Dict[str, Any] = {
@@ -55,7 +55,7 @@ def write_history_jsonl(
     """Write one JSON line per monitoring cycle; returns the line count.
 
     Accepts a :class:`~repro.core.monitor.MonitoringSystem` (its
-    ``history`` is used) or a plain list of ``CycleStats``.
+    ``history`` is used) or a plain list of ``CycleTiming``.
     """
     history = getattr(system_or_history, "history", system_or_history)
     records = history_records(history)
@@ -212,7 +212,7 @@ def cycle_report(system: Any, skip_first: bool = True) -> str:
     """Aligned text report: stage timing means + counter means per cycle.
 
     ``system`` is any object with ``engine`` (``.name``), ``history``
-    (``CycleStats`` entries), and optionally ``registry``.  The initial
+    (``CycleTiming`` entries), and optionally ``registry``.  The initial
     build cycle is excluded by default, like the paper's steady-state
     measurements.
     """

@@ -190,7 +190,7 @@ def run_validation(
     import numpy as np
 
     from ..core.cost_model import optimal_cell_size
-    from ..core.monitor import MonitoringSystem
+    from ..engines.registry import build_system
     from .export import mean_cycle_counters
     from .registry import MetricsRegistry
 
@@ -198,7 +198,8 @@ def run_validation(
         delta = optimal_cell_size(n_objects)
     rng = np.random.default_rng(seed)
     registry = MetricsRegistry()
-    system = MonitoringSystem.object_indexing(
+    system = build_system(
+        "object_indexing",
         k,
         rng.random((n_queries, 2)),
         maintenance="rebuild",
@@ -390,14 +391,14 @@ def run_delta_validation(
     import numpy as np
 
     from ..core.deltas import DeltaTracker
-    from ..core.monitor import MonitoringSystem
+    from ..engines.registry import build_system
     from .export import mean_cycle_counters
     from .registry import MetricsRegistry
 
     rng = np.random.default_rng(seed)
     registry = MetricsRegistry()
-    system = MonitoringSystem.delta_grid(
-        k, rng.random((n_queries, 2)), registry=registry
+    system = build_system(
+        "delta_grid", k, rng.random((n_queries, 2)), registry=registry
     )
     tracker = DeltaTracker(registry=registry)
     positions = rng.random((n_objects, 2))

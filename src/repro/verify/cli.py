@@ -152,6 +152,7 @@ def cmd_diff(args: argparse.Namespace) -> int:
 def cmd_fuzz(args: argparse.Namespace) -> int:
     registry = MetricsRegistry()
     methods = _parse_methods(args.methods)
+    n_specs = len(make_specs(methods))  # "all" counts as every engine it runs
     failures = 0
     for index in range(args.scenarios):
         seed = args.seed + index
@@ -192,7 +193,7 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
         if args.progress and (index + 1) % 10 == 0:
             print(f"... {index + 1}/{args.scenarios} scenarios", flush=True)
     print(
-        f"fuzzed {args.scenarios} scenarios across {len(methods)} method "
+        f"fuzzed {args.scenarios} scenarios across {n_specs} method "
         f"spec(s): {failures} failure(s)"
     )
     _print_counters(registry)

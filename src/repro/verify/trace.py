@@ -271,9 +271,10 @@ def workload_valid(workload: Workload) -> bool:
     """Whether the event stream can replay without admission errors.
 
     Mirrors the session's cancel semantics (join-of-pending-leave,
-    leave-of-pending-join, drop-of-pending-register) and requires the
-    post-admission population to stay at or above ``k`` on every tick —
-    exactly the checks :meth:`MonitoringSession.tick` enforces.
+    leave-of-pending-join, drop-of-pending-register), rejects a move event
+    that names an object twice, and requires the post-admission
+    population to stay at or above ``k`` on every tick — exactly the
+    checks the session enforces.
     """
     live: set = set()
     queries: set = set()
@@ -311,7 +312,10 @@ def workload_valid(workload: Workload) -> bool:
                 else:
                     pending_drop.add(hid)
             elif kind == "move":
-                for oid in ev["oids"]:
+                oids = ev["oids"]
+                if len(set(oids)) != len(oids):
+                    return False
+                for oid in oids:
                     if oid not in live and oid not in pending_join:
                         return False
         if len(live) + len(pending_join) - len(pending_leave) < workload.k:

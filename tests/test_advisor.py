@@ -106,7 +106,7 @@ class TestCalibrate:
         """The fitted model predicts a measured workload within 5x."""
         import time
 
-        from repro.core.monitor import MonitoringSystem
+        from repro.engines.registry import build_system
         from repro.core.cost_model import (
             expected_knn_radius_uniform,
             optimal_cell_size,
@@ -120,7 +120,7 @@ class TestCalibrate:
         )
         positions = make_dataset("uniform", n, seed=1)
         queries = make_queries(nq, seed=2)
-        system = MonitoringSystem.object_indexing(k, queries)
+        system = build_system("object_indexing", k, queries)
         motion = RandomWalkModel(vmax=0.005, seed=3)
         system.load(positions)
         for _ in range(3):

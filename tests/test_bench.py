@@ -6,11 +6,7 @@ import pytest
 
 from repro.bench.experiments import EXPERIMENTS, run_experiment
 from repro.bench.results import ExperimentResult, format_table
-from repro.bench.runner import (
-    METHOD_FACTORIES,
-    measure_cycles,
-    measure_method,
-)
+from repro.bench.runner import BENCH_PRESETS, measure_cycles, measure_method
 from repro.engines.registry import build_system
 from repro.errors import ConfigurationError
 from repro.motion import RandomWalkModel, make_dataset, make_queries
@@ -84,9 +80,9 @@ class TestRunner:
 
     def test_every_factory_builds(self):
         queries = make_queries(3, seed=1)
-        for method in METHOD_FACTORIES:
-            system = build_system(method, 2, queries)
-            assert system.k == 2
+        for method in BENCH_PRESETS:
+            with build_system(method, 2, queries) as system:
+                assert system.k == 2
 
     def test_measure_cycles(self):
         positions = make_dataset("uniform", 200, seed=2)

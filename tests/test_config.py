@@ -1,9 +1,9 @@
-"""MethodConfig registry and the unified MonitoringSystem.create()."""
+"""MethodConfig registry and the one system factory, build_system()."""
 
 import numpy as np
 import pytest
 
-from repro import METHOD_CONFIGS, MethodConfig, MonitoringSystem
+from repro import METHOD_CONFIGS, MethodConfig, build_system
 from repro.core.config import (
     FastGridConfig,
     HierarchicalConfig,
@@ -118,7 +118,7 @@ class TestDictRoundTrip:
             resolve_config("sharded", {"method": "rtree"})
 
     def test_create_accepts_dict_config(self):
-        system = MonitoringSystem.create(
+        system = build_system(
             "fast_grid", 2, QUERIES, config={"method": "fast_grid", "ncells": 16}
         )
         assert system.engine._ncells == 16
@@ -142,7 +142,7 @@ class TestCreate:
         ],
     )
     def test_create_builds_every_method(self, method, engine_name, options):
-        system = MonitoringSystem.create(method, 2, QUERIES, **options)
+        system = build_system(method, 2, QUERIES, **options)
         try:
             assert system.engine.name == engine_name
         finally:
@@ -150,12 +150,12 @@ class TestCreate:
 
     def test_create_unknown_option_names_valid_fields(self):
         with pytest.raises(ConfigurationError) as excinfo:
-            MonitoringSystem.create("sharded", 2, QUERIES, shardz=3)
+            build_system("sharded", 2, QUERIES, shardz=3)
         assert "'shardz'" in str(excinfo.value)
         assert "workers" in str(excinfo.value)
 
     def test_create_with_config_block_and_override(self):
-        system = MonitoringSystem.create(
+        system = build_system(
             "sharded", 2, QUERIES,
             config=ShardedConfig(workers=0, shards=3), seed_slack=0.1,
         )
@@ -163,16 +163,9 @@ class TestCreate:
             engine = system.engine
             assert (engine.workers, engine.n_shards, engine.seed_slack) == (0, 3, 0.1)
 
-    def test_factories_are_thin_delegates(self):
-        system = MonitoringSystem.hierarchical(
-            2, QUERIES, maintenance="rebuild", delta0=0.2
-        )
-        assert system.engine.name == "hierarchical/rebuild/incremental"
-        assert system.engine.index.delta0 == 0.2
-
     def test_factories_reject_positional_options(self):
         with pytest.raises(TypeError):
-            MonitoringSystem.object_indexing(2, QUERIES, "incremental")
+            build_system("object_indexing", 2, QUERIES, "incremental")
 
     @pytest.mark.parametrize(
         "factory,bad_kwarg",
@@ -187,29 +180,25 @@ class TestCreate:
     )
     def test_factories_reject_unknown_kwargs(self, factory, bad_kwarg):
         with pytest.raises(ConfigurationError):
-            getattr(MonitoringSystem, factory)(2, QUERIES, **bad_kwarg)
+            build_system(factory, 2, QUERIES, **bad_kwarg)
 
     def test_engine_value_validation_still_applies(self):
         with pytest.raises(ConfigurationError):
-            MonitoringSystem.create("rtree", 2, QUERIES, maintenance="nope")
+            build_system("rtree", 2, QUERIES, maintenance="nope")
 
 
 class TestBenchResolution:
     def test_bench_presets_resolve_through_registry(self):
-        from repro.bench.runner import BENCH_PRESETS, METHOD_FACTORIES
-        from repro.engines.registry import build_system
+        from repro.bench.runner import BENCH_PRESETS
 
         for name, (method, preset) in BENCH_PRESETS.items():
             assert method in METHOD_CONFIGS
             # preset option names must be valid for the method
             METHOD_CONFIGS[method].from_kwargs(**preset)
-        assert set(METHOD_FACTORIES) == set(BENCH_PRESETS)
         system = build_system("object_overhaul", 2, QUERIES)
         assert system.engine.name == "object-indexing/rebuild/overhaul"
 
     def test_build_system_accepts_registry_names_and_overrides(self):
-        from repro.engines.registry import build_system
-
         system = build_system("sharded", 2, QUERIES, workers=0, shards=2)
         with system:
             assert system.engine.name == "sharded/0w2s"
@@ -217,13 +206,3 @@ class TestBenchResolution:
             build_system("object_overhaul", 2, QUERIES, ncell=64)
         with pytest.raises(ConfigurationError):
             build_system("nope", 2, QUERIES)
-
-    def test_method_factories_mapping_protocol(self):
-        from repro.bench.runner import METHOD_FACTORIES
-
-        assert "fast_grid" in METHOD_FACTORIES
-        assert len(METHOD_FACTORIES) == len(list(iter(METHOD_FACTORIES)))
-        factory = METHOD_FACTORIES["brute_force"]
-        assert factory(2, QUERIES).engine.name == "brute-force"
-        with pytest.raises(KeyError):
-            METHOD_FACTORIES["nope"]

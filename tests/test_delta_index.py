@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro import MetricsRegistry, MonitoringSystem
+from repro import MetricsRegistry, build_system
 from repro.core import delta_index
 from repro.core.delta_index import DeltaCSRGrid, DeltaGridEngine
 from repro.core.fast_index import batch_knn
@@ -96,12 +96,12 @@ class TestEquivalence:
     @pytest.fixture(scope="class")
     def reference(self, snapshots, queries):
         return self._walk(
-            lambda k, q: MonitoringSystem.brute_force(k, q), snapshots, queries
+            lambda k, q: build_system("brute_force", k, q), snapshots, queries
         )
 
     def test_fast_grid_matches_brute_force(self, reference, snapshots, queries):
         trace = self._walk(
-            lambda k, q: MonitoringSystem.fast_grid(k, q), snapshots, queries
+            lambda k, q: build_system("fast_grid", k, q), snapshots, queries
         )
         assert trace == reference
 
@@ -110,7 +110,7 @@ class TestEquivalence:
     ):
         registry = MetricsRegistry()
         trace = self._walk(
-            lambda k, q: MonitoringSystem.delta_grid(k, q, registry=registry),
+            lambda k, q: build_system("delta_grid", k, q, registry=registry),
             snapshots,
             queries,
         )
@@ -135,7 +135,7 @@ class TestEquivalence:
         self, reference, snapshots, queries, label, options
     ):
         trace = self._walk(
-            lambda k, q: MonitoringSystem.delta_grid(k, q, **options),
+            lambda k, q: build_system("delta_grid", k, q, **options),
             snapshots,
             queries,
         )
@@ -148,7 +148,7 @@ class TestEquivalence:
         # both grouping implementations face the full walk.
         monkeypatch.setattr(delta_index, "_USE_SCIPY", False)
         trace = self._walk(
-            lambda k, q: MonitoringSystem.delta_grid(k, q), snapshots, queries
+            lambda k, q: build_system("delta_grid", k, q), snapshots, queries
         )
         assert trace == reference
 
@@ -159,10 +159,10 @@ class TestCompaction:
         positions = rng.random((500, 2))
         queries = rng.random((12, 2))
         registry = MetricsRegistry()
-        system = MonitoringSystem.delta_grid(
-            4, queries, slack=0.01, patch_threshold=1.0, registry=registry
+        system = build_system(
+            "delta_grid", 4, queries, slack=0.01, patch_threshold=1.0, registry=registry
         )
-        oracle = MonitoringSystem.brute_force(4, queries)
+        oracle = build_system("brute_force", 4, queries)
         assert canonical(system.load(positions)) == canonical(
             oracle.load(positions)
         )
@@ -180,8 +180,8 @@ class TestAnswerReuse:
         rng = np.random.default_rng(8)
         positions = rng.random((2000, 2))
         queries = rng.random((40, 2))
-        system = MonitoringSystem.delta_grid(6, queries)
-        oracle = MonitoringSystem.brute_force(6, queries)
+        system = build_system("delta_grid", 6, queries)
+        oracle = build_system("brute_force", 6, queries)
         previous = canonical(system.load(positions))
         oracle.load(positions)
         reused_total = 0
@@ -209,8 +209,8 @@ class TestAnswerReuse:
             ]),
             np.random.default_rng(3).random((500, 2)) * 0.2 + [0.7, 0.7],
         ])
-        system = MonitoringSystem.delta_grid(3, queries)
-        oracle = MonitoringSystem.brute_force(3, queries)
+        system = build_system("delta_grid", 3, queries)
+        oracle = build_system("brute_force", 3, queries)
         system.load(positions)
         oracle.load(positions)
         moved = positions.copy()
@@ -298,15 +298,15 @@ class TestContracts:
     def test_rejects_bad_options(self):
         queries = np.array([[0.5, 0.5]])
         with pytest.raises(ConfigurationError):
-            MonitoringSystem.delta_grid(2, queries, ncell=8)
+            build_system("delta_grid", 2, queries, ncell=8)
         with pytest.raises(ConfigurationError):
             # ncells and delta are mutually exclusive; resolved at build.
-            MonitoringSystem.delta_grid(2, queries, ncells=8, delta=0.1).load(
+            build_system("delta_grid", 2, queries, ncells=8, delta=0.1).load(
                 np.random.default_rng(0).random((10, 2))
             )
         with pytest.raises(ConfigurationError):
             DeltaCSRGrid(np.zeros((4, 3)), 4)
 
     def test_engine_name_and_registry_entry(self):
-        system = MonitoringSystem.delta_grid(2, np.array([[0.5, 0.5]]))
+        system = build_system("delta_grid", 2, np.array([[0.5, 0.5]]))
         assert system.engine.name == "delta-grid"

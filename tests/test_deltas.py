@@ -6,7 +6,7 @@ import pytest
 
 from repro.core.answers import QueryAnswer
 from repro.core.deltas import AnswerDelta, DeltaTracker, answer_delta
-from repro.core.monitor import MonitoringSystem
+from repro.engines.registry import build_system
 from repro.motion import RandomWalkModel, make_dataset, make_queries
 
 
@@ -79,7 +79,7 @@ class TestDeltaTracker:
     def test_with_real_monitoring_system(self):
         objects = make_dataset("uniform", 500, seed=1)
         queries = make_queries(10, seed=2)
-        system = MonitoringSystem.object_indexing(5, queries)
+        system = build_system("object_indexing", 5, queries)
         tracker = DeltaTracker()
         tracker.update(system.load(objects))
         motion = RandomWalkModel(vmax=0.02, seed=3)

@@ -1,20 +1,16 @@
-"""The engine layer: registry coverage, unified pipeline, facade compat.
+"""The engine layer: registry coverage, unified pipeline, package exports.
 
 Guards the invariants of the engines package: every configured method has
-exactly one registered engine, every construction path resolves through
-the registry, exactly one cycle-timing type exists, and the historic
-``repro.core.monitor`` import surface keeps working.
+exactly one registered engine, ``build_system`` resolves every name
+through the registry, and exactly one cycle-timing type exists.
 """
-
-import warnings
 
 import numpy as np
 import pytest
 
 import repro
 from repro.core.config import METHOD_CONFIGS
-from repro.core.monitor import BaseEngine, CycleStats, MonitoringSystem
-from repro.engines import base as engines_base
+from repro.engines.base import BaseEngine, CycleTiming
 from repro.engines.registry import (
     BENCH_PRESETS,
     ENGINE_PATHS,
@@ -94,40 +90,21 @@ class TestBuildSystem:
         with pytest.raises(ConfigurationError):
             build_system("nope", 2, QUERIES)
 
-    def test_make_system_is_deprecated_alias(self):
-        """Satellite: make_system warns and builds the identical system."""
-        from repro.bench.runner import make_system
-
-        with pytest.warns(DeprecationWarning, match="build_system"):
-            legacy = make_system("object_incremental", 3, QUERIES, ncells=32)
-        new = build_system("object_incremental", 3, QUERIES, ncells=32)
-        assert type(legacy) is type(new) is MonitoringSystem
-        assert type(legacy.engine) is type(new.engine)
-        assert legacy.engine.k == new.engine.k == 3
-        assert legacy.engine.maintenance == new.engine.maintenance == "incremental"
-        assert legacy.engine.answering == new.engine.answering == "incremental"
-        assert legacy.engine._ncells == new.engine._ncells == 32
-
-    def test_create_and_build_system_share_the_registry(self):
-        via_create = MonitoringSystem.create("query_indexing", 2, QUERIES)
-        via_build = build_system("query_indexing", 2, QUERIES)
-        assert type(via_create.engine) is type(via_build.engine)
 
 
 class TestUnifiedCycleTiming:
     def test_exactly_one_timing_type(self):
         from repro.bench.runner import CycleTiming as bench_timing
 
-        assert CycleStats is engines_base.CycleTiming
-        assert bench_timing is engines_base.CycleTiming
-        assert repro.CycleStats is repro.CycleTiming
+        assert bench_timing is CycleTiming
+        assert repro.CycleTiming is CycleTiming
 
     def test_single_record_and_summary_shapes(self):
-        record = CycleStats(1.0, 0.5, 0.25)
+        record = CycleTiming(1.0, 0.5, 0.25)
         assert record.cycles == 1
         assert record.total_time == pytest.approx(0.75)
-        summary = engines_base.CycleTiming.from_history(
-            [CycleStats(0.0, 1.0, 1.0), record, CycleStats(2.0, 0.1, 0.05)]
+        summary = CycleTiming.from_history(
+            [CycleTiming(0.0, 1.0, 1.0), record, CycleTiming(2.0, 0.1, 0.05)]
         )
         assert summary.cycles == 2
         assert summary.index_time == pytest.approx(0.3)
@@ -194,26 +171,6 @@ class TestQuerySwapRegression:
 
 
 class TestFacadeCompatibility:
-    def test_monitor_module_reexports(self):
-        from repro.core import monitor
-
-        for name in (
-            "BaseEngine",
-            "BruteForceEngine",
-            "CyclePipeline",
-            "CycleStats",
-            "CycleTiming",
-            "HierarchicalEngine",
-            "MonitoringSystem",
-            "ObjectIndexingEngine",
-            "QueryIndexingEngine",
-            "RTreeEngine",
-        ):
-            assert hasattr(monitor, name), name
-        from repro.engines.object_indexing import ObjectIndexingEngine
-
-        assert monitor.ObjectIndexingEngine is ObjectIndexingEngine
-
     def test_package_exports_engine_layer(self):
         for name in (
             "BaseEngine",

@@ -23,7 +23,7 @@ from repro.core.fast_index import (
     cell_index,
     kth_smallest,
 )
-from repro.core.monitor import MonitoringSystem
+from repro.engines.registry import build_system
 from repro.errors import IndexStateError, NotEnoughObjectsError
 from repro.motion import RandomWalkModel, make_dataset, make_queries
 from repro.obs.registry import MetricsRegistry
@@ -206,7 +206,7 @@ class TestFastEngineExactness:
         positions = make_dataset("hi_skewed", 2000, seed=21)
         queries = make_queries(50, seed=22)
         motion = RandomWalkModel(vmax=0.01, seed=23)
-        system = MonitoringSystem.fast_grid(10, queries)
+        system = build_system("fast_grid", 10, queries)
         system.load(positions)
         for _ in range(3):
             positions = motion.step(positions)
@@ -238,7 +238,7 @@ class TestFastEngineContract:
         rng = np.random.default_rng(30)
         positions = rng.random((200, 2))
         queries = rng.random((6, 2))
-        system = MonitoringSystem.fast_grid(4, queries)
+        system = build_system("fast_grid", 4, queries)
         system.load(positions)
         moved = rng.random((6, 2))
         system.set_queries(moved)
@@ -263,7 +263,7 @@ class TestFastEngineContract:
         rng = np.random.default_rng(32)
         positions = rng.random((300, 2))
         queries = rng.random((10, 2))
-        system = MonitoringSystem.fast_grid(5, queries)
+        system = build_system("fast_grid", 5, queries)
         system.load(positions)
         system.tick(rng.random((300, 2)))
         engine = system.engine
@@ -287,8 +287,6 @@ class TestFastEngineContract:
         assert len(engine.stage_history) == 1
 
     def test_registered_in_bench_runner(self):
-        from repro.engines.registry import build_system
-
         system = build_system("fast_grid", 3, np.array([[0.5, 0.5]]))
         assert system.engine.name == "fast-grid"
 
@@ -350,8 +348,8 @@ class TestPreviousAnswerBound:
             if abs(ox - qx) > 0.9:
                 positions[2] = [0.001, 0.999]
             registry = MetricsRegistry()
-            system = MonitoringSystem.fast_grid(
-                2, np.array([[qx, qy]]), ncells=100, registry=registry
+            system = build_system(
+                "fast_grid", 2, np.array([[qx, qy]]), ncells=100, registry=registry
             )
             system.load(positions)
             (answer,) = system.tick(positions)
@@ -414,7 +412,7 @@ class TestPreviousAnswerBound:
         positions = rng.random((500, 2))
         queries = rng.random((20, 2))
         registry = MetricsRegistry()
-        system = MonitoringSystem.fast_grid(5, queries, registry=registry)
+        system = build_system("fast_grid", 5, queries, registry=registry)
         system.load(positions)
         moved = np.clip(queries + rng.uniform(-0.05, 0.05, queries.shape), 0.0, 0.999)
         system.set_queries(moved)
@@ -429,7 +427,7 @@ class TestPreviousAnswerBound:
         positions = rng.random((300, 2))
         queries = rng.random((10, 2))
         registry = MetricsRegistry()
-        system = MonitoringSystem.fast_grid(4, queries, registry=registry)
+        system = build_system("fast_grid", 4, queries, registry=registry)
         system.load(positions)
         system.load(positions)
         assert "fast.answer.bounded_queries" not in system.last_stats.counters

@@ -7,12 +7,13 @@ import pytest
 
 from repro import (
     DeltaTracker,
-    MonitoringSystem,
-    PositionBuffer,
+    MonitoringSession,
+    QueryAnswer,
     RKNNMonitor,
     RandomWalkModel,
     RoadNetworkModel,
     answers_equal,
+    build_system,
     make_dataset,
     make_queries,
 )
@@ -20,14 +21,14 @@ from repro.core.brute import brute_force_knn
 from repro.core.rknn import brute_force_rknn
 from tests.conftest import assert_same_distances
 
-METHOD_FACTORIES = {
-    "object": lambda k, q: MonitoringSystem.object_indexing(k, q),
-    "object_incr": lambda k, q: MonitoringSystem.object_indexing(
-        k, q, maintenance="incremental", answering="incremental"
+SYSTEMS = {
+    "object": lambda k, q: build_system("object_indexing", k, q),
+    "object_incr": lambda k, q: build_system(
+        "object_indexing", k, q, maintenance="incremental", answering="incremental"
     ),
-    "query": lambda k, q: MonitoringSystem.query_indexing(k, q),
-    "hier": lambda k, q: MonitoringSystem.hierarchical(k, q),
-    "rtree": lambda k, q: MonitoringSystem.rtree(k, q, maintenance="str_bulk"),
+    "query": lambda k, q: build_system("query_indexing", k, q),
+    "hier": lambda k, q: build_system("hierarchical", k, q),
+    "rtree": lambda k, q: build_system("rtree", k, q, maintenance="str_bulk"),
 }
 
 
@@ -39,7 +40,7 @@ class TestCrossMethodAgreement:
         objects = make_dataset(dataset, 1000, seed=41)
         queries = make_queries(8, seed=42)
         systems = {
-            name: factory(6, queries) for name, factory in METHOD_FACTORIES.items()
+            name: factory(6, queries) for name, factory in SYSTEMS.items()
         }
         motions = {
             name: RandomWalkModel(vmax=0.008, seed=43) for name in systems
@@ -64,7 +65,7 @@ class TestCrossMethodAgreement:
         """Monitoring over road-constrained motion stays exact."""
         fleet = RoadNetworkModel(800, vmax=0.01, seed=44)
         queries = make_queries(6, seed=45)
-        system = MonitoringSystem.hierarchical(5, queries)
+        system = build_system("hierarchical", 5, queries)
         positions = fleet.positions()
         system.load(positions)
         for _ in range(4):
@@ -81,27 +82,34 @@ class TestStreamingPipeline:
         """Full pipeline: async reports -> snapshot -> answers -> deltas."""
         objects = make_dataset("skewed", 700, seed=46)
         queries = make_queries(6, seed=47)
-        buffer = PositionBuffer(objects)
-        system = MonitoringSystem.query_indexing(5, queries)
         tracker = DeltaTracker()
-        tracker.update(system.load(buffer.publish()))
 
-        rng = np.random.default_rng(48)
-        current = objects.copy()
-        for _ in range(3):
-            movers = rng.choice(700, size=150, replace=False)
-            for object_id in movers:
-                x, y = rng.random(2)
-                buffer.report(int(object_id), float(x), float(y))
-                current[object_id] = (x, y)
-            answers = system.tick(buffer.publish())
-            deltas = tracker.update(answers)
-            # Exactness against the accumulated state.
-            for qa in answers:
-                qx, qy = queries[qa.query_id]
-                want = brute_force_knn(current, qx, qy, 5)
-                assert_same_distances(qa.neighbors, want)
-            assert len(deltas) == 6
+        def track(answers):
+            return tracker.update(
+                [QueryAnswer(h.id, a.timestamp, a.neighbors) for h, a in answers.items()]
+            )
+
+        with MonitoringSession("query_indexing", k=5) as session:
+            for object_id, point in enumerate(objects):
+                session.join_object(object_id, point)
+            handles = [session.register_query(q) for q in queries]
+            track(session.tick())
+
+            rng = np.random.default_rng(48)
+            current = objects.copy()
+            for _ in range(3):
+                movers = rng.choice(700, size=150, replace=False)
+                for object_id in movers:
+                    x, y = rng.random(2)
+                    session.move_object(int(object_id), (x, y))
+                    current[object_id] = (x, y)
+                answers = session.tick()
+                deltas = track(answers)
+                # Exactness against the accumulated state.
+                for handle, (qx, qy) in zip(handles, queries):
+                    want = brute_force_knn(current, qx, qy, 5)
+                    assert_same_distances(answers[handle].neighbors, want)
+                assert len(deltas) == 6
         assert tracker.cycles == 4
 
 
@@ -120,7 +128,7 @@ class TestCompositeQueries:
         """Run kNN and RkNN monitors side by side over the same motion."""
         positions = make_dataset("skewed", 400, seed=51)
         queries = make_queries(5, seed=52)
-        knn_system = MonitoringSystem.object_indexing(3, queries)
+        knn_system = build_system("object_indexing", 3, queries)
         rknn_monitor = RKNNMonitor(3, queries)
         knn_system.load(positions)
         motion = RandomWalkModel(vmax=0.01, seed=53)

@@ -6,59 +6,59 @@ import numpy as np
 import pytest
 
 from repro.core.brute import brute_force_knn
-from repro.core.monitor import (
+from repro.engines import (
     BruteForceEngine,
-    CycleStats,
-    MonitoringSystem,
+    CycleTiming,
     ObjectIndexingEngine,
     QueryIndexingEngine,
     RTreeEngine,
+    build_system,
 )
 from repro.errors import ConfigurationError, IndexStateError
 from repro.motion import RandomWalkModel, make_dataset, make_queries
 from tests.conftest import assert_same_distances
 
 ALL_FACTORIES = [
-    ("object/rebuild/overhaul", lambda q: MonitoringSystem.object_indexing(5, q)),
+    ("object/rebuild/overhaul", lambda q: build_system("object_indexing", 5, q)),
     (
         "object/incremental/incremental",
-        lambda q: MonitoringSystem.object_indexing(
-            5, q, maintenance="incremental", answering="incremental"
+        lambda q: build_system(
+            "object_indexing", 5, q, maintenance="incremental", answering="incremental"
         ),
     ),
-    ("query/incremental", lambda q: MonitoringSystem.query_indexing(5, q)),
+    ("query/incremental", lambda q: build_system("query_indexing", 5, q)),
     (
         "query/rebuild",
-        lambda q: MonitoringSystem.query_indexing(5, q, maintenance="rebuild"),
+        lambda q: build_system("query_indexing", 5, q, maintenance="rebuild"),
     ),
-    ("hier/incremental", lambda q: MonitoringSystem.hierarchical(5, q)),
+    ("hier/incremental", lambda q: build_system("hierarchical", 5, q)),
     (
         "hier/rebuild/overhaul",
-        lambda q: MonitoringSystem.hierarchical(
-            5, q, maintenance="rebuild", answering="overhaul"
+        lambda q: build_system(
+            "hierarchical", 5, q, maintenance="rebuild", answering="overhaul"
         ),
     ),
-    ("rtree/overhaul", lambda q: MonitoringSystem.rtree(5, q)),
+    ("rtree/overhaul", lambda q: build_system("rtree", 5, q)),
     (
         "rtree/bottom_up",
-        lambda q: MonitoringSystem.rtree(5, q, maintenance="bottom_up"),
+        lambda q: build_system("rtree", 5, q, maintenance="bottom_up"),
     ),
     (
         "rtree/str_bulk",
-        lambda q: MonitoringSystem.rtree(5, q, maintenance="str_bulk"),
+        lambda q: build_system("rtree", 5, q, maintenance="str_bulk"),
     ),
-    ("brute", lambda q: MonitoringSystem.brute_force(5, q)),
+    ("brute", lambda q: build_system("brute_force", 5, q)),
 ]
 
 
 class TestConfiguration:
     def test_bad_k(self, queries_20):
         with pytest.raises(ConfigurationError):
-            MonitoringSystem.object_indexing(0, queries_20)
+            build_system("object_indexing", 0, queries_20)
 
     def test_bad_tau(self, queries_20):
         with pytest.raises(ConfigurationError):
-            MonitoringSystem.object_indexing(5, queries_20, tau=0.0)
+            build_system("object_indexing", 5, queries_20, tau=0.0)
 
     def test_bad_maintenance_mode(self, queries_20):
         with pytest.raises(ConfigurationError):
@@ -74,10 +74,10 @@ class TestConfiguration:
 
     def test_bad_query_shape(self):
         with pytest.raises(ConfigurationError):
-            MonitoringSystem.object_indexing(5, np.zeros((4, 3)))
+            build_system("object_indexing", 5, np.zeros((4, 3)))
 
     def test_tick_before_load(self, uniform_1k, queries_20):
-        system = MonitoringSystem.object_indexing(5, queries_20)
+        system = build_system("object_indexing", 5, queries_20)
         with pytest.raises(IndexStateError):
             system.tick(uniform_1k)
 
@@ -112,7 +112,7 @@ class TestAllEnginesExact:
 
 class TestAnswerMetadata:
     def test_timestamps_advance_by_tau(self, uniform_1k, queries_20):
-        system = MonitoringSystem.object_indexing(5, queries_20, tau=0.5)
+        system = build_system("object_indexing", 5, queries_20, tau=0.5)
         system.load(uniform_1k)
         assert system.timestamp == 0.0
         answers = system.tick(uniform_1k)
@@ -122,17 +122,17 @@ class TestAnswerMetadata:
         assert system.timestamp == 1.0
 
     def test_query_ids_sequential(self, uniform_1k, queries_20):
-        system = MonitoringSystem.object_indexing(5, queries_20)
+        system = build_system("object_indexing", 5, queries_20)
         answers = system.load(uniform_1k)
         assert [qa.query_id for qa in answers] == list(range(20))
 
     def test_answers_have_k_neighbors(self, uniform_1k, queries_20):
-        system = MonitoringSystem.hierarchical(7, queries_20)
+        system = build_system("hierarchical", 7, queries_20)
         answers = system.load(uniform_1k)
         assert all(qa.k == 7 for qa in answers)
 
     def test_neighbors_sorted_by_distance(self, uniform_1k, queries_20):
-        system = MonitoringSystem.rtree(6, queries_20)
+        system = build_system("rtree", 6, queries_20)
         answers = system.load(uniform_1k)
         for qa in answers:
             distances = [d for _, d in qa.neighbors]
@@ -141,15 +141,15 @@ class TestAnswerMetadata:
 
 class TestStats:
     def test_history_grows(self, uniform_1k, queries_20):
-        system = MonitoringSystem.object_indexing(5, queries_20)
+        system = build_system("object_indexing", 5, queries_20)
         system.load(uniform_1k)
         for _ in range(3):
             system.tick(uniform_1k)
         assert len(system.history) == 4
-        assert all(isinstance(stats, CycleStats) for stats in system.history)
+        assert all(isinstance(stats, CycleTiming) for stats in system.history)
 
     def test_stats_nonnegative(self, uniform_1k, queries_20):
-        system = MonitoringSystem.query_indexing(5, queries_20)
+        system = build_system("query_indexing", 5, queries_20)
         system.load(uniform_1k)
         system.tick(uniform_1k)
         stats = system.last_stats
@@ -158,13 +158,13 @@ class TestStats:
         assert stats.total_time == stats.index_time + stats.answer_time
 
     def test_mean_cycle_time(self, uniform_1k, queries_20):
-        system = MonitoringSystem.object_indexing(5, queries_20)
+        system = build_system("object_indexing", 5, queries_20)
         system.load(uniform_1k)
         system.tick(uniform_1k)
         assert system.mean_cycle_time() > 0.0
 
     def test_last_stats_before_run(self, queries_20):
-        system = MonitoringSystem.object_indexing(5, queries_20)
+        system = build_system("object_indexing", 5, queries_20)
         with pytest.raises(IndexStateError):
             system.last_stats
 
@@ -191,7 +191,7 @@ class TestMovingQueries:
                 assert_same_distances(qa.neighbors, want)
 
     def test_query_count_change_rejected(self, uniform_1k, queries_20):
-        system = MonitoringSystem.object_indexing(5, queries_20)
+        system = build_system("object_indexing", 5, queries_20)
         system.load(uniform_1k)
         with pytest.raises(ConfigurationError):
             system.set_queries(queries_20[:5])
@@ -201,11 +201,11 @@ class TestPopulationChanges:
     @pytest.mark.parametrize(
         "factory",
         [
-            lambda q: MonitoringSystem.object_indexing(
-                3, q, maintenance="incremental"
+            lambda q: build_system(
+                "object_indexing", 3, q, maintenance="incremental"
             ),
-            lambda q: MonitoringSystem.hierarchical(3, q),
-            lambda q: MonitoringSystem.rtree(3, q, maintenance="bottom_up"),
+            lambda q: build_system("hierarchical", 3, q),
+            lambda q: build_system("rtree", 3, q, maintenance="bottom_up"),
         ],
     )
     def test_incremental_engines_rebuild_on_population_change(

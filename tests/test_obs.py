@@ -276,12 +276,12 @@ class TestCounterBlock:
 def _run_instrumented_system(cycles=3, n=400, k=4, nq=6, seed=3):
     import numpy as np
 
-    from repro.core.monitor import MonitoringSystem
+    from repro.engines.registry import build_system
     from repro.motion import RandomWalkModel, make_dataset, make_queries
 
     registry = MetricsRegistry()
     queries = make_queries(nq, seed=seed)
-    system = MonitoringSystem.object_indexing(k, queries, registry=registry)
+    system = build_system("object_indexing", k, queries, registry=registry)
     positions = make_dataset("uniform", n, seed=seed + 1)
     motion = RandomWalkModel(vmax=0.01, seed=seed + 2)
     system.load(positions)

@@ -3,8 +3,9 @@
 Covers the acceptance criteria of the observability layer: all seven
 engines emit spans and counters through one registry, counters on a
 hand-checkable grid match pencil-and-paper values, the bench layer's
-``CycleTiming`` derives from ``CycleStats``, and the observed-vs-predicted
-cost-model validation passes on the object-index overhaul path.
+means derive from the per-cycle ``CycleTiming`` records, and the
+observed-vs-predicted cost-model validation passes on the object-index
+overhaul path.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import pytest
 
 from repro.bench.runner import CycleTiming, measure_method
 from repro.engines.registry import build_system
-from repro.core.monitor import CycleStats, MonitoringSystem
+from repro.core.monitor import MonitoringSystem
 from repro.core.object_index import ObjectIndex
 from repro.errors import IndexStateError
 from repro.motion import RandomWalkModel, make_dataset, make_queries
@@ -27,18 +28,18 @@ from repro.obs import (
 from repro.tprtree import TPREngine
 
 ENGINE_FACTORIES = [
-    ("object_indexing", lambda q, reg: MonitoringSystem.object_indexing(
-        4, q, registry=reg
+    ("object_indexing", lambda q, reg: build_system(
+        "object_indexing", 4, q, registry=reg
     )),
-    ("query_indexing", lambda q, reg: MonitoringSystem.query_indexing(
-        4, q, registry=reg
+    ("query_indexing", lambda q, reg: build_system(
+        "query_indexing", 4, q, registry=reg
     )),
-    ("hierarchical", lambda q, reg: MonitoringSystem.hierarchical(
-        4, q, registry=reg
+    ("hierarchical", lambda q, reg: build_system(
+        "hierarchical", 4, q, registry=reg
     )),
-    ("rtree", lambda q, reg: MonitoringSystem.rtree(4, q, registry=reg)),
-    ("brute_force", lambda q, reg: MonitoringSystem.brute_force(4, q, registry=reg)),
-    ("fast_grid", lambda q, reg: MonitoringSystem.fast_grid(4, q, registry=reg)),
+    ("rtree", lambda q, reg: build_system("rtree", 4, q, registry=reg)),
+    ("brute_force", lambda q, reg: build_system("brute_force", 4, q, registry=reg)),
+    ("fast_grid", lambda q, reg: build_system("fast_grid", 4, q, registry=reg)),
     ("tpr", lambda q, reg: MonitoringSystem(TPREngine(4, q), registry=reg)),
 ]
 
@@ -57,7 +58,7 @@ def test_every_engine_emits_spans_and_counters(label, factory):
         positions = motion.step(positions)
         system.tick(positions)
 
-    # Every cycle recorded its counter deltas on the CycleStats entry.
+    # Every cycle recorded its counter deltas on the CycleTiming entry.
     assert len(system.history) == 3
     for stats in system.history:
         assert stats.counters is not None
@@ -75,7 +76,7 @@ def test_every_engine_emits_spans_and_counters(label, factory):
 
 def test_uninstrumented_system_records_no_counters():
     queries = make_queries(4, seed=1)
-    system = MonitoringSystem.object_indexing(3, queries)
+    system = build_system("object_indexing", 3, queries)
     positions = make_dataset("uniform", 100, seed=2)
     system.load(positions)
     system.tick(positions)
@@ -123,9 +124,9 @@ def test_3x3_grid_counts_pruning():
     assert c.overhaul_calls == 1
 
 
-class TestCycleStatsCompat:
+class TestCycleTimingRecord:
     def test_positional_construction_still_works(self):
-        stats = CycleStats(1.0, 0.5, 0.25)
+        stats = CycleTiming(1.0, 0.5, 0.25)
         assert stats.timestamp == 1.0
         assert stats.index_time == 0.5
         assert stats.answer_time == 0.25
@@ -133,29 +134,29 @@ class TestCycleStatsCompat:
         assert stats.total_time == 0.75
 
     def test_equality_ignores_counters(self):
-        a = CycleStats(1.0, 0.5, 0.25, counters={"x": 1.0})
-        b = CycleStats(1.0, 0.5, 0.25)
+        a = CycleTiming(1.0, 0.5, 0.25, counters={"x": 1.0})
+        b = CycleTiming(1.0, 0.5, 0.25)
         assert a == b
 
     def test_mean_of(self):
         history = [
-            CycleStats(0.0, 1.0, 1.0),
-            CycleStats(1.0, 0.2, 0.4),
-            CycleStats(2.0, 0.4, 0.6),
+            CycleTiming(0.0, 1.0, 1.0),
+            CycleTiming(1.0, 0.2, 0.4),
+            CycleTiming(2.0, 0.4, 0.6),
         ]
-        index_mean, answer_mean, cycles = CycleStats.mean_of(history)
+        index_mean, answer_mean, cycles = CycleTiming.mean_of(history)
         assert index_mean == pytest.approx(0.3)
         assert answer_mean == pytest.approx(0.5)
         assert cycles == 2
         with pytest.raises(IndexStateError):
-            CycleStats.mean_of([])
+            CycleTiming.mean_of([])
 
 
 class TestCycleTimingDerivation:
     def test_from_history_matches_mean_of(self):
         registry = MetricsRegistry()
         queries = make_queries(4, seed=11)
-        system = MonitoringSystem.object_indexing(3, queries, registry=registry)
+        system = build_system("object_indexing", 3, queries, registry=registry)
         positions = make_dataset("uniform", 200, seed=12)
         motion = RandomWalkModel(vmax=0.01, seed=13)
         system.load(positions)
@@ -163,7 +164,7 @@ class TestCycleTimingDerivation:
             positions = motion.step(positions)
             system.tick(positions)
         timing = CycleTiming.from_history(system.history)
-        index_mean, answer_mean, cycles = CycleStats.mean_of(system.history)
+        index_mean, answer_mean, cycles = CycleTiming.mean_of(system.history)
         assert timing.index_time == pytest.approx(index_mean)
         assert timing.answer_time == pytest.approx(answer_mean)
         assert timing.cycles == cycles
@@ -182,7 +183,7 @@ class TestCycleTimingDerivation:
         assert timing.counters is None
         assert timing.span_means() == {}
 
-    def test_make_system_registry_passthrough_all_methods(self):
+    def test_build_system_registry_passthrough_all_methods(self):
         queries = make_queries(3, seed=21)
         for method in (
             "object_overhaul",
@@ -201,7 +202,7 @@ class TestCycleTimingDerivation:
 class TestFastGridStageCompat:
     def test_stage_history_populates_without_registry(self):
         queries = make_queries(4, seed=31)
-        system = MonitoringSystem.fast_grid(3, queries)
+        system = build_system("fast_grid", 3, queries)
         positions = make_dataset("uniform", 200, seed=32)
         system.load(positions)
         system.tick(positions)
@@ -213,7 +214,7 @@ class TestFastGridStageCompat:
     def test_stage_spans_mirror_stage_history_when_instrumented(self):
         registry = MetricsRegistry()
         queries = make_queries(4, seed=31)
-        system = MonitoringSystem.fast_grid(3, queries, registry=registry)
+        system = build_system("fast_grid", 3, queries, registry=registry)
         positions = make_dataset("uniform", 200, seed=32)
         system.load(positions)
         system.tick(positions)
@@ -260,22 +261,3 @@ class TestCostModelValidation:
         # A razor-thin band must trip at least one ratio check — proof the
         # validation actually compares numbers rather than rubber-stamping.
         assert not report.ok
-
-
-class TestBufferCounters:
-    def test_buffer_reports_counters_on_publish(self):
-        from repro.core.buffer import PositionBuffer
-
-        registry = MetricsRegistry()
-        queries = make_queries(3, seed=41)
-        system = MonitoringSystem.object_indexing(3, queries, registry=registry)
-        positions = make_dataset("uniform", 50, seed=42)
-        buffer = PositionBuffer(positions, registry=registry)
-        system.load(buffer.publish())
-        buffer.report(0, 0.5, 0.5)
-        buffer.report(0, 0.6, 0.6)  # coalesced: same object, same cycle
-        buffer.report(1, 0.7, 0.7)
-        system.tick(buffer.publish())
-        assert registry.counter("buffer.reports") == 3.0
-        assert registry.counter("buffer.coalesced_hits") == 1.0
-        assert registry.counter("buffer.objects_folded") == 2.0

@@ -8,7 +8,7 @@ import urllib.request
 import numpy as np
 import pytest
 
-from repro import MetricsRegistry, MonitoringSystem
+from repro import MetricsRegistry, build_system
 from repro.errors import IndexStateError
 from repro.obs import prometheus_text, split_labels
 from repro.obs.remote import (
@@ -56,8 +56,8 @@ def run_sharded_trace(workers, *, kill_idle_worker=False, seed=11,
     queries = rng.random((nq, 2))
     motion = [rng.normal(0.0, 0.01, (n, 2)) for _ in range(cycles)]
     registry = MetricsRegistry()
-    system = MonitoringSystem.sharded(
-        k, queries, workers=workers, shards=shards,
+    system = build_system(
+        "sharded", k, queries, workers=workers, shards=shards,
         oversubscribe=True, registry=registry,
     )
     with system:
@@ -205,8 +205,8 @@ class TestHealthGauges:
     def test_heartbeat_latency_gauges(self):
         rng = np.random.default_rng(3)
         registry = MetricsRegistry()
-        system = MonitoringSystem.sharded(
-            2, rng.random((6, 2)), workers=2, shards=2,
+        system = build_system(
+            "sharded", 2, rng.random((6, 2)), workers=2, shards=2,
             oversubscribe=True, registry=registry,
         )
         with system:

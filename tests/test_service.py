@@ -19,6 +19,7 @@ from repro.service import (
     QueryHandle,
     SessionAnswer,
 )
+from repro.verify import EXACT_METHODS
 
 
 def make_session(method="fast_grid", k=2, **kw):
@@ -270,6 +271,20 @@ class TestPositions:
             assert tuple(pos[ids == 2][0]) == (0.5, 0.5)
             assert tuple(pos[ids == 0][0]) == (0.6, 0.6)
 
+    def test_last_move_wins(self):
+        """Reports between two ticks coalesce: the snapshot holds the last."""
+        with make_session() as s:
+            seed(s, n=4)
+            s.tick()
+            s.move_object(1, (0.2, 0.2))
+            s.move_object(1, (0.7, 0.3))
+            s.update_positions([(0.4, 0.4)], object_ids=[2])
+            s.update_positions([(0.9, 0.1)], object_ids=[2])
+            s.tick()
+            ids, pos = s.population()
+            assert tuple(pos[ids == 1][0]) == (0.7, 0.3)
+            assert tuple(pos[ids == 2][0]) == (0.9, 0.1)
+
     def test_update_positions_validates(self):
         with make_session() as s:
             seed(s, n=4)
@@ -280,6 +295,13 @@ class TestPositions:
                 s.update_positions(np.zeros((1, 3)))  # wrong shape
             with pytest.raises(ConfigurationError):
                 s.update_positions([(0.5, 0.5)], object_ids=[999])
+            # An unknown id raises before a pending join's point is written.
+            s.join_object(42, (0.1, 0.1))
+            with pytest.raises(ConfigurationError):
+                s.update_positions([(0.5, 0.5), (0.6, 0.6)], object_ids=[42, 999])
+            s.tick()
+            ids, pos = s.population()
+            assert tuple(pos[ids == 42][0]) == (0.1, 0.1)
 
 
 class TestInputBoundary:
@@ -338,6 +360,24 @@ class TestInputBoundary:
                 s.update_positions([(0.5, 0.5), (1.5, 0.5)], object_ids=[0, 1])
             _, after = s.population()
             assert np.array_equal(before, after)
+
+    def test_duplicate_ids_in_one_update_raise(self):
+        """A repeated id raises before any write, pending joins included."""
+        with make_session() as s:
+            seed(s, n=6)
+            s.tick()
+            s.join_object(43, (0.2, 0.2))
+            _, before = s.population()
+            with pytest.raises(ConfigurationError, match="object 3 appears"):
+                s.update_positions(
+                    [(0.5, 0.5), (0.6, 0.6), (0.7, 0.7), (0.8, 0.8)],
+                    object_ids=[43, 3, 0, 3],
+                )
+            _, after = s.population()
+            assert np.array_equal(before, after)
+            s.tick()
+            ids, pos = s.population()
+            assert tuple(pos[ids == 43][0]) == (0.2, 0.2)
 
     def test_queries_need_only_be_finite(self):
         with make_session() as s:
@@ -455,3 +495,55 @@ class TestResourceManagement:
             except OSError as exc:
                 alive = exc.errno == errno.EPERM  # exists, other owner
             assert not alive, f"worker {pid} survived close()"
+
+
+def _wrong_answers(session, answers):
+    """Queries whose session answer differs from brute force, ties included."""
+    ids, points = session.population()
+    wrong = 0
+    for handle, (qx, qy) in zip(session.handles(), session.query_points()):
+        want = tuple(
+            (int(ids[i]), dist)
+            for i, dist in brute_force_knn(points, qx, qy, session.k)
+        )
+        wrong += answers[handle].neighbors != want
+    return wrong
+
+
+class TestFailedTick:
+    """A tick that raises loses its own answers, never the next tick's."""
+
+    @pytest.mark.parametrize("method", EXACT_METHODS)
+    def test_failed_rebuild_is_retried(self, method, monkeypatch):
+        options = {"workers": 0} if method == "sharded" else {}
+        rng = np.random.default_rng(21)
+        with MonitoringSession(method, k=5, **options) as s:
+            for oid, point in enumerate(rng.random((2000, 2))):
+                s.join_object(oid, point)
+            handles = [s.register_query(q) for q in rng.random((30, 2))]
+            s.tick()
+            for oid in range(50):
+                s.leave_object(oid)
+            for oid in range(2000, 2050):
+                s.join_object(oid, rng.random(2))
+            for handle in handles[:5]:
+                s.drop_query(handle)
+            for point in rng.random((5, 2)):
+                s.register_query(point)
+            # Engines with incremental churn hooks would not rebuild for
+            # this batch; ask for it so every engine takes the load path.
+            s.engine.request_rebuild()
+
+            def load_fails_once(world):
+                monkeypatch.undo()
+                raise RuntimeError("injected load fault")
+
+            monkeypatch.setattr(s.engine, "load", load_fails_once)
+            with pytest.raises(RuntimeError, match="injected"):
+                s.tick()
+            assert s.pending_deltas == 0  # the admission was kept
+            for _ in range(3):
+                ids, points = s.population()
+                moved = np.clip(points + rng.normal(0, 0.005, points.shape), 0, 1)
+                s.update_positions(moved, ids)
+                assert _wrong_answers(s, s.tick()) == 0

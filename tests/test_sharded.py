@@ -8,7 +8,7 @@ import time
 import numpy as np
 import pytest
 
-from repro import MetricsRegistry, MonitoringSystem
+from repro import MetricsRegistry, build_system
 from repro.errors import ConfigurationError, NotEnoughObjectsError
 from repro.shard import ShardedGridEngine, StripePartition, shard_grid_shape
 from repro.shard.engine import _merge_chunks
@@ -124,7 +124,7 @@ class TestEquivalence:
 
     @pytest.fixture(scope="class")
     def reference(self):
-        return self._walk(lambda k, q: MonitoringSystem.brute_force(k, q))
+        return self._walk(lambda k, q: build_system("brute_force", k, q))
 
     @pytest.mark.parametrize(
         "label,options",
@@ -139,12 +139,12 @@ class TestEquivalence:
     )
     def test_sharded_matches_brute_force(self, reference, label, options):
         trace = self._walk(
-            lambda k, q: MonitoringSystem.sharded(k, q, **options)
+            lambda k, q: build_system("sharded", k, q, **options)
         )
         assert trace == reference
 
     def test_fast_grid_matches_brute_force(self, reference):
-        trace = self._walk(lambda k, q: MonitoringSystem.fast_grid(k, q))
+        trace = self._walk(lambda k, q: build_system("fast_grid", k, q))
         assert trace == reference
 
     def test_stale_seed_escalation_is_exact(self, reference):
@@ -152,8 +152,8 @@ class TestEquivalence:
         # every cycle; escalation must still recover the exact answer.
         registry = MetricsRegistry()
         trace = self._walk(
-            lambda k, q: MonitoringSystem.sharded(
-                k, q, workers=0, shards=4, seed_slack=0.0, registry=registry
+            lambda k, q: build_system(
+                "sharded", k, q, workers=0, shards=4, seed_slack=0.0, registry=registry
             )
         )
         assert trace == reference
@@ -178,13 +178,13 @@ class TestEscalation:
         moved = cycle0.copy()
         moved[:6, 0] = 0.9   # cluster leaves stripe 0
         registry = MetricsRegistry()
-        system = MonitoringSystem.sharded(
-            k, queries, workers=0, shards=4, seed_slack=0.0, registry=registry
+        system = build_system(
+            "sharded", k, queries, workers=0, shards=4, seed_slack=0.0, registry=registry
         )
         with system:
             system.load(cycle0)
             got = canonical(system.tick(moved))
-        oracle = MonitoringSystem.brute_force(k, queries)
+        oracle = build_system("brute_force", k, queries)
         oracle.load(cycle0)
         expected = canonical(oracle.tick(moved))
         assert got == expected
@@ -207,7 +207,7 @@ class TestContracts:
         with pytest.raises(ConfigurationError):
             ShardedGridEngine(3, queries, workers=0, shards=0)
         with pytest.raises(ConfigurationError):
-            MonitoringSystem.sharded(3, queries, shardz=2)
+            build_system("sharded", 3, queries, shardz=2)
 
     def test_no_queries(self):
         engine = ShardedGridEngine(2, np.empty((0, 2)), workers=0, shards=2)
@@ -233,8 +233,8 @@ class TestContracts:
         registry = MetricsRegistry()
         rng = np.random.default_rng(9)
         ncpu = os.cpu_count() or 1
-        system = MonitoringSystem.sharded(
-            2, rng.random((3, 2)), workers=ncpu + 3, registry=registry
+        system = build_system(
+            "sharded", 2, rng.random((3, 2)), workers=ncpu + 3, registry=registry
         )
         with system:
             system.load(rng.random((50, 2)))
@@ -247,8 +247,8 @@ class TestContracts:
         # must move those seconds into the cycle's index time.
         registry = MetricsRegistry()
         rng = np.random.default_rng(13)
-        system = MonitoringSystem.sharded(
-            3, rng.random((10, 2)), workers=0, shards=2, registry=registry
+        system = build_system(
+            "sharded", 3, rng.random((10, 2)), workers=0, shards=2, registry=registry
         )
         with system:
             system.load(rng.random((5000, 2)))
@@ -263,8 +263,8 @@ class TestContracts:
     def test_metrics_emitted(self):
         registry = MetricsRegistry()
         rng = np.random.default_rng(5)
-        system = MonitoringSystem.sharded(
-            3, rng.random((10, 2)), workers=0, shards=2, registry=registry
+        system = build_system(
+            "sharded", 3, rng.random((10, 2)), workers=0, shards=2, registry=registry
         )
         with system:
             system.load(rng.random((200, 2)))
@@ -300,7 +300,7 @@ class TestFaultTolerance:
     N, NQ, K = 3000, 30, 5
 
     def _reference(self, positions, queries):
-        oracle = MonitoringSystem.brute_force(self.K, queries)
+        oracle = build_system("brute_force", self.K, queries)
         oracle.load(positions)
         return canonical(oracle.tick(positions))
 
@@ -309,8 +309,8 @@ class TestFaultTolerance:
         positions = rng.random((self.N, 2))
         queries = rng.random((self.NQ, 2))
         registry = MetricsRegistry()
-        system = MonitoringSystem.sharded(
-            self.K, queries, workers=2, shards=4, registry=registry,
+        system = build_system(
+            "sharded", self.K, queries, workers=2, shards=4, registry=registry,
             oversubscribe=True,
         )
         with system:
@@ -329,8 +329,8 @@ class TestFaultTolerance:
         rng = np.random.default_rng(19)
         positions = rng.random((60_000, 2))
         queries = rng.random((self.NQ, 2))
-        system = MonitoringSystem.sharded(
-            self.K, queries, workers=2, shards=4, oversubscribe=True
+        system = build_system(
+            "sharded", self.K, queries, workers=2, shards=4, oversubscribe=True
         )
         with system:
             system.load(positions)
@@ -356,8 +356,8 @@ class TestFaultTolerance:
 
     def test_heartbeat_detects_and_respawns(self):
         rng = np.random.default_rng(23)
-        system = MonitoringSystem.sharded(
-            2, rng.random((4, 2)), workers=2, shards=2, oversubscribe=True
+        system = build_system(
+            "sharded", 2, rng.random((4, 2)), workers=2, shards=2, oversubscribe=True
         )
         with system:
             system.load(rng.random((100, 2)))

@@ -1,8 +1,9 @@
 """World-state plane: epoch discipline, immutability, and zero-copy.
 
 The :class:`~repro.state.WorldStore` is the single owner of world state;
-everything downstream — buffer, session, pipeline, engines, shard
-workers — shares its published snapshots zero-copy.  These tests pin
+everything downstream — session, pipeline, engines, shard workers —
+shares its published snapshots zero-copy.  Its staging epoch is the
+paper's report buffer ``OBJ_curr``; ``publish()`` takes ``OBJ_snapshot``.  These tests pin
 down the contracts that make that safe:
 
 * a published :class:`~repro.state.WorldSnapshot` is immutable — writing
@@ -16,14 +17,13 @@ down the contracts that make that safe:
   a fresh-engine oracle on every registry engine, serial and workers=2
   (including one worker SIGKILL);
 * a steady-state cycle performs zero full position-array copies between
-  buffer -> session -> pipeline -> engine, asserted via the ``state.*``
+  store -> session -> pipeline -> engine, asserted via the ``state.*``
   counters, and the shard pool skips re-serializing an unchanged epoch.
 """
 
 import numpy as np
 import pytest
 
-from repro.core.buffer import PositionBuffer
 from repro.obs.registry import MetricsRegistry
 from repro.service import MonitoringSession
 from repro.state import WorldSnapshot, WorldStore, as_world_snapshot
@@ -40,10 +40,14 @@ class TestSnapshotImmutability:
             np.asarray(snap)[1] = (0.5, 0.5)
 
     def test_buffer_snapshot_is_immutable(self):
-        buf = PositionBuffer(np.array([[0.1, 0.2], [0.3, 0.4]]))
-        snap = buf.snapshot()
+        """Reports staged with ``write_rows`` reach readers only through
+        the published snapshot, which is frozen."""
+        store = WorldStore(np.array([[0.1, 0.2], [0.3, 0.4]]))
+        store.write_rows(np.array([1]), np.array([[0.5, 0.6]]))
+        snap = store.packed(store.publish())
+        assert snap.positions.tolist() == [[0.1, 0.2], [0.5, 0.6]]
         with pytest.raises(ValueError):
-            snap[0, 0] = 0.9
+            snap.positions[0, 0] = 0.9
 
     def test_snapshot_queries_are_immutable(self):
         store = WorldStore(np.array([[0.1, 0.2]]))
@@ -221,11 +225,13 @@ class TestZeroCopySteadyState:
             assert reg.gauge("state.epoch") == session.store.epoch > 0
 
     def test_buffer_snapshot_shares_store_memory(self):
-        buf = PositionBuffer(np.array([[0.1, 0.2], [0.3, 0.4]]))
-        a = buf.snapshot()
-        b = buf.snapshot()
-        assert np.shares_memory(a, b)
-        assert buf.store.full_copies == 0
+        store = WorldStore(np.array([[0.1, 0.2], [0.3, 0.4]]))
+        store.write_rows(np.array([0]), np.array([[0.5, 0.5]]))
+        a = store.packed(store.publish())
+        b = store.packed(store.publish())
+        assert a.epoch == b.epoch
+        assert np.shares_memory(a.positions, b.positions)
+        assert store.full_copies == 0
 
 
 class TestShardEpochReuse:

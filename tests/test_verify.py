@@ -133,6 +133,11 @@ class TestTraceRoundTrip:
         assert not workload_valid(bad)
         under_k = tiny_workload(k=5)  # only 4 objects ever live
         assert not workload_valid(under_k)
+        repeated = tiny_workload()  # the session rejects a repeated id
+        repeated.cycles[1][0] = {
+            "t": "move", "oids": [0, 0], "xy": [[0.5, 0.5], [0.6, 0.6]]
+        }
+        assert not workload_valid(repeated)
 
 
 # ----------------------------------------------------------------------
@@ -478,8 +483,15 @@ class TestCli:
             ]
         )
         assert code == 0
-        assert "0 failure(s)" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "across 2 method spec(s): 0 failure(s)" in out
         assert not (tmp_path / "artifacts").exists()
+        # "all" counts as every engine it expands to, not as one token.
+        assert cli_main(["fuzz", "--scenarios", "0", "--methods", "all"]) == 0
+        assert (
+            f"across {len(EXACT_METHODS)} method spec(s)"
+            in capsys.readouterr().out
+        )
 
     def test_fuzz_dumps_shrunk_artifact_on_divergence(
         self, tmp_path, capsys, monkeypatch
