@@ -6,9 +6,8 @@ Examples::
     python -m repro.bench all --scale 0.5     # everything, half-size
     python -m repro.bench all --markdown out.md
     python -m repro.bench fastgrid --scale 5  # fast CSR engine vs paper
-                                              # engines, with the per-stage
-                                              # (snapshot_csr/radii/gather/
-                                              # select) timing breakdown
+                                              # engines, with the mean
+                                              # seconds of its stage spans
 """
 
 from __future__ import annotations

@@ -25,9 +25,8 @@ class ExperimentResult:
     expectation: str = ""
     findings: List[str] = field(default_factory=list)
     # Per-stage timing breakdowns keyed by engine label, each mapping a
-    # stage name to mean seconds per cycle (filled by engines that expose
-    # stage hooks, e.g. the fast CSR engine's snapshot_csr/radii/gather/
-    # select split).
+    # span path to mean seconds per cycle (e.g. the fast CSR engine's
+    # maintain.csr_snapshot and answer.radii/gather/select spans).
     stage_breakdown: Dict[str, Dict[str, float]] = field(default_factory=dict)
     # Mean per-cycle observability counters keyed by engine label (filled
     # by experiments run with instrument=True; empty otherwise).

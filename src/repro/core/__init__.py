@@ -44,7 +44,7 @@ from .config import (
     TPRConfig,
 )
 from .monitor import MonitoringSystem
-from .fast_index import CSRGrid, FastGridEngine, StageTimings
+from .fast_index import CSRGrid, FastGridEngine
 from .object_index import ObjectIndex
 from .query_index import QueryIndex
 
@@ -82,7 +82,6 @@ __all__ = [
     "ShardedConfig",
     "TPRConfig",
     "FastGridEngine",
-    "StageTimings",
     "HierarchicalObjectIndex",
     "MonitoringSystem",
     "Neighbor",

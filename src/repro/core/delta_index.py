@@ -2,10 +2,10 @@
 
 :class:`~repro.core.fast_index.CSRGrid` rebuilds its snapshot from
 scratch every cycle — one ``argsort`` over flat cell IDs plus three
-permuted-array gathers — which BENCH_sharded.json shows is ~95% of the
-fast-grid cycle at NP=1M.  :class:`DeltaCSRGrid` keeps the previous
-cycle's CSR arrays alive and maintains them *incrementally*, the §3.2
-insight of the paper lifted into the vectorized layer:
+permuted-array gathers — which is most of the fast-grid cycle at NP=1M.
+:class:`DeltaCSRGrid` keeps the previous cycle's CSR arrays alive and
+maintains them *incrementally*, the §3.2 insight of the paper lifted
+into the vectorized layer:
 
 * **Mover diff.**  The grid remembers each object's flat cell ID; one
   vectorized compare against the new cell IDs yields the movers.  Objects
@@ -70,10 +70,8 @@ from ..engines.base import BaseEngine
 from ..errors import ConfigurationError, IndexStateError, NotEnoughObjectsError
 from ..state import as_world_snapshot
 from ..grid.grid2d import resolve_grid_size
-from ..obs.registry import NULL_REGISTRY, MetricsRegistry
-from ..obs.tracing import Tracer
 from .answers import AnswerList
-from .fast_index import StageTimings, batch_knn
+from .fast_index import batch_knn
 
 try:  # pragma: no cover - exercised via _scipy_group_works()
     from scipy.sparse import _sparsetools as _scipy_sparsetools
@@ -799,11 +797,11 @@ class DeltaCSRGrid:
 class DeltaGridEngine(BaseEngine):
     """Monitoring engine over :class:`DeltaCSRGrid` with answer reuse.
 
-    Same exact-answer contract (ties broken by object ID) and the same
-    stage-history surface as
-    :class:`~repro.core.fast_index.FastGridEngine`; the ``snapshot_csr``
-    stage slot reports the incremental maintenance time instead of a full
-    rebuild.
+    Same exact-answer contract (ties broken by object ID) as
+    :class:`~repro.core.fast_index.FastGridEngine`, and the same stage
+    spans on the tracer the pipeline binds, except that maintenance runs
+    as ``maintain.delta_update`` and the answer stage adds
+    ``answer.reuse_check``.
 
     Churn support (member mode): with a row-stable position universe and
     an ``ObjectDelta.member_idx`` subset, joins and leaves reach the grid
@@ -835,9 +833,6 @@ class DeltaGridEngine(BaseEngine):
         self._slack = float(slack)
         self._reuse = bool(reuse)
         self.grid: Optional[DeltaCSRGrid] = None
-        self.stage_history: List[StageTimings] = []
-        self._snapshot_time = 0.0
-        self._stage_tracer = Tracer(NULL_REGISTRY)
         self.last_reuse_mask: Optional[np.ndarray] = None
         self._prev_top_d2: Optional[np.ndarray] = None
         self._prev_top_ids: Optional[np.ndarray] = None
@@ -848,11 +843,6 @@ class DeltaGridEngine(BaseEngine):
         # Rows admitted by the last query delta: their remapped reuse
         # slots are placeholders, so they must be re-answered once.
         self._fresh_queries: Optional[np.ndarray] = None
-
-    def bind_observability(self, registry: MetricsRegistry, tracer) -> None:
-        super().bind_observability(registry, tracer)
-        if isinstance(tracer, Tracer):
-            self._stage_tracer = tracer
 
     def set_queries(self, queries: np.ndarray) -> None:
         """Move the query points, dropping all per-query reuse state.
@@ -952,13 +942,12 @@ class DeltaGridEngine(BaseEngine):
         return resolve_grid_size(self._ncells, self._delta, None)
 
     def load(self, positions: np.ndarray) -> None:
-        self.stage_history = []
         self.grid = None
         self._drop_reuse_state()
         self.maintain(positions)
 
     def maintain(self, positions: np.ndarray) -> None:
-        with self._stage_tracer.span("delta_update") as span:
+        with self.tracer.span("delta_update"):
             world = as_world_snapshot(positions)
             positions = np.asarray(world, dtype=np.float64)
             member = self._member_idx
@@ -983,7 +972,6 @@ class DeltaGridEngine(BaseEngine):
             else:
                 grid.update(positions, member, pinned=world.versioned)
             self._positions = positions
-        self._snapshot_time = span.duration
         metrics = self.metrics
         if metrics.enabled:
             stats = grid.last_stats
@@ -1010,12 +998,9 @@ class DeltaGridEngine(BaseEngine):
             raise NotEnoughObjectsError(k, grid.n_objects)
         nq = self.n_queries
         if nq == 0:
-            self.stage_history.append(
-                StageTimings(self._snapshot_time, 0.0, 0.0, 0.0)
-            )
             return []
 
-        with self._stage_tracer.span("reuse_check"):
+        with self.tracer.span("reuse_check"):
             reusable = (
                 self._reuse
                 and self._prev_rects is not None
@@ -1043,7 +1028,6 @@ class DeltaGridEngine(BaseEngine):
             top_ids = self._prev_top_ids
             rects = self._prev_rects
 
-        timings = {"radii": 0.0, "gather": 0.0, "select": 0.0}
         if len(affected):
             qx = self.queries[affected, 0]
             qy = self.queries[affected, 1]
@@ -1057,12 +1041,11 @@ class DeltaGridEngine(BaseEngine):
                     0.0,
                 ).astype(np.intp)
             result = batch_knn(
-                grid, qx, qy, k, self._stage_tracer, seed_level=seeds
+                grid, qx, qy, k, self.tracer, seed_level=seeds
             )
             top_d2[affected] = result.top_d2
             top_ids[affected] = result.top_ids
             rects[affected] = result.rects
-            timings = result.timings
             if self.metrics.enabled:
                 stats = result.stats
                 self.metrics.inc("fast.answer.queries", len(affected))
@@ -1103,35 +1086,4 @@ class DeltaGridEngine(BaseEngine):
             metrics.inc("delta.queries_reanswered", len(affected))
             if n_clean:
                 metrics.inc("delta.reuse_cycles")
-        self.stage_history.append(
-            StageTimings(
-                self._snapshot_time,
-                timings["radii"],
-                timings["gather"],
-                timings["select"],
-            )
-        )
         return answers
-
-    # ------------------------------------------------------------------
-    # Introspection (parity with FastGridEngine)
-    # ------------------------------------------------------------------
-    @property
-    def last_stages(self) -> StageTimings:
-        if not self.stage_history:
-            raise IndexStateError("no cycle has run yet")
-        return self.stage_history[-1]
-
-    def mean_stage_times(self, skip_first: bool = True) -> "dict[str, float]":
-        """Mean seconds per stage, by default excluding the initial build."""
-        history = (
-            self.stage_history[1:]
-            if skip_first and len(self.stage_history) > 1
-            else self.stage_history
-        )
-        if not history:
-            raise IndexStateError("no cycle has run yet")
-        return {
-            name: sum(getattr(s, name) for s in history) / len(history)
-            for name in ("snapshot_csr", "radii", "gather", "select")
-        }

@@ -57,13 +57,10 @@ import numpy as np
 
 from ..errors import ConfigurationError, IndexStateError, NotEnoughObjectsError
 from ..grid.grid2d import resolve_grid_size
-from ..obs.registry import MetricsRegistry, NULL_REGISTRY
-from ..obs.tracing import NULL_TRACER, Tracer
+from ..obs.tracing import NULL_TRACER, NullTracer, Tracer
 
 from ..engines.base import BaseEngine, _as_queries
 from .answers import AnswerList
-
-STAGE_NAMES = ("snapshot_csr", "radii", "gather", "select")
 
 #: Relative and absolute pad on every critical radius: an object at exactly
 #: the radius must fall inside the critical rectangle even when ``q ± r``
@@ -82,28 +79,6 @@ def cell_index(v: np.ndarray, lo: float, hi: float, n: int) -> np.ndarray:
     region (or infinite) clamp to the edge cells instead of overflowing.
     """
     return np.clip((v - lo) * (n / (hi - lo)), 0, n - 1).astype(np.intp)
-
-
-@dataclass(frozen=True)
-class StageTimings:
-    """Per-stage wall-clock breakdown of one fast-engine cycle (seconds).
-
-    ``snapshot_csr`` is the maintenance stage (flat cell IDs + CSR layout
-    + prefix-sum); ``radii``/``gather``/``select`` partition the
-    answering stage.
-    """
-
-    snapshot_csr: float
-    radii: float
-    gather: float
-    select: float
-
-    @property
-    def total(self) -> float:
-        return self.snapshot_csr + self.radii + self.gather + self.select
-
-    def as_dict(self) -> "dict[str, float]":
-        return {name: getattr(self, name) for name in STAGE_NAMES}
 
 
 class CSRGrid:
@@ -269,14 +244,12 @@ class BatchKNNResult:
     columns are padded with ``inf`` / ``-1``.  ``rects`` is the ``(nq, 4)``
     array of per-query critical rectangles ``(ilo, jlo, ihi, jhi)`` in
     clamped cell coordinates — the delta engine intersects them with the
-    next cycle's dirty-cell set to decide answer reuse.  ``timings`` maps
-    the answering stages (``radii``/``gather``/``select``) to seconds and
-    ``stats`` carries the algorithmic counters of the pass.
+    next cycle's dirty-cell set to decide answer reuse.  ``stats`` carries
+    the algorithmic counters of the pass.
     """
 
     top_d2: np.ndarray
     top_ids: np.ndarray
-    timings: Dict[str, float]
     stats: Dict[str, int]
     rects: Optional[np.ndarray] = None
 
@@ -285,7 +258,6 @@ def _empty_result(nq: int, k: int) -> BatchKNNResult:
     return BatchKNNResult(
         np.full((nq, k), np.inf),
         np.full((nq, k), -1, dtype=np.intp),
-        {"radii": 0.0, "gather": 0.0, "select": 0.0},
         {"ring_passes": 0, "groups": 0, "candidates": 0, "pairs": 0, "bounded": 0},
         np.zeros((nq, 4), dtype=np.intp),
     )
@@ -324,7 +296,7 @@ def batch_knn(
     qx: np.ndarray,
     qy: np.ndarray,
     k: int,
-    tracer: Tracer = None,
+    tracer: Tracer | NullTracer = NULL_TRACER,
     seed_level: Optional[np.ndarray] = None,
     bound_d2: Optional[np.ndarray] = None,
 ) -> BatchKNNResult:
@@ -350,9 +322,11 @@ def batch_knn(
     radius is then the smaller of the bound and the ring-growth radius;
     ``stats["bounded"]`` counts the queries whose radius came from the
     bound.
+
+    Each stage runs under a span of ``tracer`` (``radii``, ``gather``,
+    ``select``); an instrumented engine passes its own tracer, so the
+    stages nest under the pipeline's ``answer`` span.
     """
-    if tracer is None:
-        tracer = Tracer(NULL_REGISTRY)
     qx = np.ascontiguousarray(qx, dtype=np.float64)
     qy = np.ascontiguousarray(qy, dtype=np.float64)
     nq = len(qx)
@@ -366,7 +340,7 @@ def batch_knn(
     dx, dy = csr.dx, csr.dy
 
     # ---- stage: radii -------------------------------------------------
-    with tracer.span("radii") as span_radii:
+    with tracer.span("radii"):
         qi = cell_index(qx, x0, x1, nx)
         qj = cell_index(qy, y0, y1, ny)
 
@@ -427,7 +401,7 @@ def batch_knn(
         jhi = cell_index(qy + radius, y0, y1, ny)
 
     # ---- stage: gather ------------------------------------------------
-    with tracer.span("gather") as span_gather:
+    with tracer.span("gather"):
         # Group queries by home cell; the group's union rectangle is shared
         # by every member, so co-located queries share one gather.
         qflat = qj * nx + qi
@@ -488,7 +462,7 @@ def batch_knn(
         )
 
     # ---- stage: select ------------------------------------------------
-    with tracer.span("select") as span_select:
+    with tracer.span("select"):
         # One exact select for every candidate distribution: find each
         # query's k-th smallest distance, keep the pairs at or below it
         # (ties included), and rank only that remainder by (query,
@@ -521,11 +495,6 @@ def batch_knn(
         top_d2,
         top_ids,
         {
-            "radii": span_radii.duration,
-            "gather": span_gather.duration,
-            "select": span_select.duration,
-        },
-        {
             "ring_passes": l,
             "groups": ngroups,
             "candidates": ncand,
@@ -541,7 +510,8 @@ class FastGridEngine(BaseEngine):
 
     Same :class:`~repro.core.monitor.BaseEngine` contract as the
     paper-faithful engines, exact answers with ties broken by object ID.
-    Stage timings of every cycle are appended to :attr:`stage_history`.
+    Its stages run as spans on the tracer the pipeline binds
+    (``maintain.csr_snapshot`` and ``answer.{radii,gather,select}``).
 
     The engine rebuilds its CSR snapshot every cycle.  Its one piece of
     cross-cycle state is the object rows of its last answer: at the next
@@ -579,20 +549,6 @@ class FastGridEngine(BaseEngine):
         # (nq, k) object rows of the last answer; a row of -1 marks a
         # query without a valid §3.2 bound.
         self._prev_rows: Optional[np.ndarray] = None
-        self.stage_history: List[StageTimings] = []
-        self._snapshot_time = 0.0
-        # stage_history must be populated whether or not the monitoring
-        # system is instrumented, so stages are always timed by a real
-        # Tracer; by default it records into the no-op registry.
-        self._stage_tracer = Tracer(NULL_REGISTRY)
-
-    def bind_observability(self, registry: MetricsRegistry, tracer) -> None:
-        super().bind_observability(registry, tracer)
-        if isinstance(tracer, Tracer):
-            # Share the system tracer: stage spans then both feed the
-            # registry (nested under maintain/answer) and fill
-            # stage_history via their measured durations.
-            self._stage_tracer = tracer
 
     # ------------------------------------------------------------------
     # Maintenance: rebuild the CSR snapshot every cycle
@@ -629,12 +585,11 @@ class FastGridEngine(BaseEngine):
             prev[np.isin(prev, delta.left).any(axis=1)] = -1
 
     def load(self, positions: np.ndarray) -> None:
-        self.stage_history = []
         self._prev_rows = None
         self.maintain(positions)
 
     def maintain(self, positions: np.ndarray) -> None:
-        with self._stage_tracer.span("csr_snapshot") as span:
+        with self.tracer.span("csr_snapshot"):
             positions = np.asarray(positions, dtype=np.float64)
             member = self._member_idx
             if member is None:
@@ -648,7 +603,6 @@ class FastGridEngine(BaseEngine):
                     object_ids=member,
                 )
             self._positions = positions
-        self._snapshot_time = span.duration
 
     # ------------------------------------------------------------------
     # Answering: one batch_knn pass over the whole unit square
@@ -684,9 +638,6 @@ class FastGridEngine(BaseEngine):
         nq = self.n_queries
         if nq == 0:
             self._prev_rows = None
-            self.stage_history.append(
-                StageTimings(self._snapshot_time, 0.0, 0.0, 0.0)
-            )
             return []
 
         result = batch_knn(
@@ -694,7 +645,7 @@ class FastGridEngine(BaseEngine):
             self.queries[:, 0],
             self.queries[:, 1],
             k,
-            self._stage_tracer,
+            self.tracer,
             bound_d2=self._bound_d2(),
         )
         self._prev_rows = result.top_ids
@@ -716,36 +667,4 @@ class FastGridEngine(BaseEngine):
             metrics.inc("fast.answer.candidates", stats["candidates"])
             metrics.inc("fast.answer.pairs", stats["pairs"])
             metrics.inc("fast.answer.bounded_queries", stats["bounded"])
-        timings = result.timings
-        self.stage_history.append(
-            StageTimings(
-                self._snapshot_time,
-                timings["radii"],
-                timings["gather"],
-                timings["select"],
-            )
-        )
         return answers
-
-    # ------------------------------------------------------------------
-    # Introspection
-    # ------------------------------------------------------------------
-    @property
-    def last_stages(self) -> StageTimings:
-        if not self.stage_history:
-            raise IndexStateError("no cycle has run yet")
-        return self.stage_history[-1]
-
-    def mean_stage_times(self, skip_first: bool = True) -> "dict[str, float]":
-        """Mean seconds per stage, by default excluding the initial build."""
-        history = (
-            self.stage_history[1:]
-            if skip_first and len(self.stage_history) > 1
-            else self.stage_history
-        )
-        if not history:
-            raise IndexStateError("no cycle has run yet")
-        return {
-            name: sum(getattr(s, name) for s in history) / len(history)
-            for name in STAGE_NAMES
-        }

@@ -3,9 +3,11 @@
 * :mod:`~repro.engines.base` — the :class:`BaseEngine` contract, the
   unified :class:`CycleTiming` record and the :class:`CyclePipeline`
   that owns load/maintain/answer sequencing and timing capture.
-* One module per engine (``object_indexing``, ``query_indexing``,
-  ``hierarchical``, ``rtree_engine``, ``brute``, plus the re-homed
-  ``fast_grid`` and ``sharded`` wrappers).
+* One module per paper-faithful engine (``object_indexing``,
+  ``query_indexing``, ``hierarchical``, ``rtree_engine``, ``brute``); the
+  vectorized engines live with their kernels (``repro.core.fast_index``,
+  ``repro.core.delta_index``, ``repro.shard.engine``, and
+  ``repro.tprtree.engine`` for TPR).
 * :mod:`~repro.engines.registry` — the single method-name -> engine
   table every construction path resolves through.
 * :mod:`~repro.engines.snapshot` — the :class:`SnapshotIndex` protocol
@@ -68,11 +70,11 @@ def __getattr__(name: str):
     # kernels, multiprocessing); resolve them on first access instead of
     # at package import.
     if name == "FastGridEngine":
-        from .fast_grid import FastGridEngine
+        from ..core.fast_index import FastGridEngine
 
         return FastGridEngine
     if name == "ShardedGridEngine":
-        from .sharded import ShardedGridEngine
+        from ..shard.engine import ShardedGridEngine
 
         return ShardedGridEngine
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -30,10 +30,10 @@ ENGINE_PATHS: Dict[str, Tuple[str, str]] = {
     "hierarchical": ("repro.engines.hierarchical", "HierarchicalEngine"),
     "rtree": ("repro.engines.rtree_engine", "RTreeEngine"),
     "brute_force": ("repro.engines.brute", "BruteForceEngine"),
-    "fast_grid": ("repro.engines.fast_grid", "FastGridEngine"),
-    "delta_grid": ("repro.engines.delta_grid", "DeltaGridEngine"),
+    "fast_grid": ("repro.core.fast_index", "FastGridEngine"),
+    "delta_grid": ("repro.core.delta_index", "DeltaGridEngine"),
     "tpr": ("repro.tprtree.engine", "TPREngine"),
-    "sharded": ("repro.engines.sharded", "ShardedGridEngine"),
+    "sharded": ("repro.shard.engine", "ShardedGridEngine"),
 }
 
 

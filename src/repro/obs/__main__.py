@@ -1,6 +1,6 @@
-"""CLI: instrumented runs, a live metrics endpoint, benchmark trends.
+"""CLI: instrumented runs and a live metrics endpoint.
 
-Three entry points share the module::
+Two entry points share the module::
 
     # instrumented monitoring run: cycle report + optional exports
     PYTHONPATH=src python -m repro.obs --method object_overhaul --cycles 5
@@ -9,8 +9,8 @@ Three entry points share the module::
     # live Prometheus endpoint (+ optional terminal dashboard)
     PYTHONPATH=src python -m repro.obs serve --port 9109 --watch
 
-    # committed BENCH_*.json vs the working tree
-    PYTHONPATH=src python -m repro.obs trend BENCH_sharded.json
+Changes in speed across commits are the session-tick benchmark's job
+(``benchmarks/tick/bench.py compare``).
 """
 
 from __future__ import annotations
@@ -114,70 +114,6 @@ def _serve(argv) -> int:
     return 0
 
 
-def _trend(argv) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.obs trend",
-        description="Diff benchmark JSON files against their committed "
-                    "baselines and flag regressions.",
-    )
-    parser.add_argument("files", nargs="*",
-                        help="benchmark JSON files (default: BENCH_*.json "
-                             "in the current directory)")
-    parser.add_argument("--rev", default="HEAD",
-                        help="git revision supplying baselines (default HEAD)")
-    parser.add_argument("--baseline-dir", metavar="DIR",
-                        help="read baselines from DIR/<name> instead of git")
-    parser.add_argument("--threshold", type=float, default=0.10,
-                        help="relative change that counts as movement "
-                             "(default 0.10)")
-    parser.add_argument("--all", action="store_true",
-                        help="show every comparable metric, not just movement")
-    parser.add_argument("--strict", action="store_true",
-                        help="exit non-zero when any regression is flagged")
-    args = parser.parse_args(argv)
-
-    import glob
-    import json
-    import os
-
-    from .trend import committed_json, compare_benchmarks, render_trend_report
-
-    files = args.files or sorted(glob.glob("BENCH_*.json"))
-    if not files:
-        print("no benchmark files found (expected BENCH_*.json)")
-        return 0
-    per_file = {}
-    skipped = []
-    for path in files:
-        with open(path, "r", encoding="utf-8") as handle:
-            current = json.load(handle)
-        if args.baseline_dir:
-            base_path = os.path.join(args.baseline_dir, os.path.basename(path))
-            try:
-                with open(base_path, "r", encoding="utf-8") as handle:
-                    baseline = json.load(handle)
-            except (OSError, json.JSONDecodeError):
-                baseline = None
-        else:
-            baseline = committed_json(path, rev=args.rev)
-        if baseline is None:
-            skipped.append(path)
-            continue
-        per_file[os.path.basename(path)] = compare_benchmarks(
-            baseline, current, threshold=args.threshold
-        )
-    for path in skipped:
-        print(f"note: no baseline for {path} (new file or git unavailable)")
-    if not per_file:
-        print("nothing to compare")
-        return 0
-    report = render_trend_report(per_file, show_all=args.all)
-    print(report)
-    if args.strict and "TREND FAIL" in report.splitlines()[-1]:
-        return 1
-    return 0
-
-
 def _run(argv) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.obs",
@@ -255,8 +191,6 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     if argv and argv[0] == "serve":
         return _serve(argv[1:])
-    if argv and argv[0] == "trend":
-        return _trend(argv[1:])
     return _run(argv)
 
 

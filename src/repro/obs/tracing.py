@@ -15,10 +15,15 @@ Two flavors exist:
 
 * :class:`Tracer` — always measures time (two ``perf_counter`` calls per
   span).  Give it :data:`~repro.obs.registry.NULL_REGISTRY` for a tracer
-  that times but records nowhere; the fast CSR engine uses exactly that
-  to fill its ``stage_history`` when instrumentation is off.
+  that times but records nowhere; shard workers time their tasks that
+  way when instrumentation is off.
 * :data:`NULL_TRACER` — the disabled path: ``span()`` hands back one
-  shared do-nothing context manager, no clock is read at all.
+  shared do-nothing context manager, no clock is read at all.  An
+  uninstrumented engine holds it, so its stage spans cost nothing.
+
+Spans are the one timing channel below the cycle: the pipeline's
+``load``/``maintain``/``answer`` spans and every engine stage beneath
+them.
 
 Tracers are single-threaded, like the monitoring cycle they measure.
 """

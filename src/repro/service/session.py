@@ -466,10 +466,13 @@ class MonitoringSession:
             live_ids, live_points = object_ids, points
             pending: Optional[np.ndarray] = None
             if self._pending_join:
-                joining = np.fromiter(
-                    (int(o) in self._pending_join for o in object_ids),
-                    dtype=bool,
-                    count=len(object_ids),
+                joining = np.isin(
+                    object_ids,
+                    np.fromiter(
+                        self._pending_join,
+                        dtype=np.int64,
+                        count=len(self._pending_join),
+                    ),
                 )
                 if joining.any():
                     pending = joining

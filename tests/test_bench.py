@@ -126,6 +126,17 @@ class TestRegistry:
             assert callable(experiment)
             assert experiment.__doc__, name
 
+    def test_fastgrid_breakdown_is_the_stage_spans(self):
+        result = run_experiment("fastgrid", scale=0.02)
+        breakdown = result.stage_breakdown["fast_grid"]
+        assert list(breakdown) == [
+            "maintain.csr_snapshot",
+            "answer.radii",
+            "answer.gather",
+            "answer.select",
+        ]
+        assert all(seconds > 0.0 for seconds in breakdown.values())
+
     @pytest.mark.parametrize("figure", ["fig09", "fig21a", "fig21b"])
     def test_cheap_experiments_run_tiny(self, figure):
         result = run_experiment(figure, scale=0.02)

@@ -15,10 +15,8 @@ import pytest
 from repro.core.answers import answers_equal
 from repro.core.brute import brute_force_knn
 from repro.core.fast_index import (
-    STAGE_NAMES,
     CSRGrid,
     FastGridEngine,
-    StageTimings,
     batch_knn,
     cell_index,
     kth_smallest,
@@ -263,28 +261,30 @@ class TestFastEngineContract:
         rng = np.random.default_rng(32)
         positions = rng.random((300, 2))
         queries = rng.random((10, 2))
-        system = build_system("fast_grid", 5, queries)
+        system = build_system("fast_grid", 5, queries, registry=MetricsRegistry())
         system.load(positions)
         system.tick(rng.random((300, 2)))
-        engine = system.engine
-        assert len(engine.stage_history) == 2
-        assert isinstance(engine.last_stages, StageTimings)
-        means = engine.mean_stage_times()
-        assert set(means) == set(STAGE_NAMES)
-        assert all(v >= 0.0 for v in means.values())
-        assert engine.last_stages.total == pytest.approx(
-            sum(engine.last_stages.as_dict().values())
-        )
+        assert len(system.history) == 2
+        stages = ("answer.radii", "answer.gather", "answer.select")
+        for record, phase in zip(system.history, ("load", "maintain")):
+            means = record.span_means()
+            assert set(means) == {phase, f"{phase}.csr_snapshot", "answer", *stages}
+            assert all(v >= 0.0 for v in means.values())
+            assert sum(means[s] for s in stages) <= means["answer"]
 
-    def test_stage_history_resets_on_load(self):
+    def test_stage_spans_restart_on_load(self):
         rng = np.random.default_rng(33)
         positions = rng.random((100, 2))
-        engine = FastGridEngine(3, rng.random((5, 2)))
-        engine.load(positions)
-        engine.answer()
-        engine.load(positions)
-        engine.answer()
-        assert len(engine.stage_history) == 1
+        system = build_system(
+            "fast_grid", 3, rng.random((5, 2)), registry=MetricsRegistry()
+        )
+        system.load(positions)
+        system.tick(positions)
+        system.load(positions)
+        assert len(system.history) == 1
+        counters = system.history[0].counters
+        assert counters["span.load.csr_snapshot.calls"] == 1.0
+        assert "span.maintain.csr_snapshot.calls" not in counters
 
     def test_registered_in_bench_runner(self):
         system = build_system("fast_grid", 3, np.array([[0.5, 0.5]]))

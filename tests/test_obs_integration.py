@@ -20,6 +20,7 @@ from repro.core.object_index import ObjectIndex
 from repro.errors import IndexStateError
 from repro.motion import RandomWalkModel, make_dataset, make_queries
 from repro.obs import (
+    NULL_TRACER,
     MetricsRegistry,
     Tracer,
     run_validation,
@@ -199,35 +200,42 @@ class TestCycleTimingDerivation:
             assert system.registry is registry
 
 
-class TestFastGridStageCompat:
-    def test_stage_history_populates_without_registry(self):
+class TestGridStageSpans:
+    def test_uninstrumented_engine_holds_null_tracer(self):
         queries = make_queries(4, seed=31)
-        system = build_system("fast_grid", 3, queries)
         positions = make_dataset("uniform", 200, seed=32)
-        system.load(positions)
-        system.tick(positions)
-        engine = system.engine
-        assert len(engine.stage_history) == 2
-        means = engine.mean_stage_times()
-        assert set(means) == {"snapshot_csr", "radii", "gather", "select"}
+        moved = RandomWalkModel(vmax=0.01, seed=33).step(positions)
+        for method in ("fast_grid", "delta_grid"):
+            system = build_system(method, 3, queries)
+            assert system.engine.tracer is NULL_TRACER, method
+            system.load(positions)
+            system.tick(moved)
+            assert [r.span_means() for r in system.history] == [{}, {}], method
 
-    def test_stage_spans_mirror_stage_history_when_instrumented(self):
-        registry = MetricsRegistry()
+    @pytest.mark.parametrize(
+        "method,build",
+        [("fast_grid", "csr_snapshot"), ("delta_grid", "delta_update")],
+        ids=["fast_grid", "delta_grid"],
+    )
+    def test_stages_are_spans_under_the_cycle(self, method, build):
         queries = make_queries(4, seed=31)
-        system = build_system("fast_grid", 3, queries, registry=registry)
         positions = make_dataset("uniform", 200, seed=32)
+        moved = RandomWalkModel(vmax=0.01, seed=33).step(positions)
+        system = build_system(method, 3, queries, registry=MetricsRegistry())
         system.load(positions)
-        system.tick(positions)
+        system.tick(moved)
         counters = system.history[-1].counters
-        assert counters["span.maintain.csr_snapshot.calls"] == 1.0
-        assert counters["span.answer.radii.calls"] == 1.0
-        assert counters["span.answer.gather.calls"] == 1.0
-        assert counters["span.answer.select.calls"] == 1.0
         assert counters["fast.answer.queries"] == 4.0
-        timings = system.engine.stage_history[-1]
-        assert timings.radii == pytest.approx(
-            counters["span.answer.radii.seconds"]
+        parents = {f"maintain.{build}": "maintain"}
+        parents.update(
+            (f"answer.{stage}", "answer") for stage in ("radii", "gather", "select")
         )
+        for path, parent in parents.items():
+            assert counters[f"span.{path}.calls"] == 1.0, path
+            assert (
+                counters[f"span.{path}.seconds"]
+                <= counters[f"span.{parent}.seconds"]
+            ), path
 
 
 class TestCostModelValidation:

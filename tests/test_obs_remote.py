@@ -1,6 +1,5 @@
 """Cross-process shard telemetry: shipping, labeled merge, health, endpoint."""
 
-import json
 import os
 import signal
 import urllib.request
@@ -18,12 +17,6 @@ from repro.obs.remote import (
     merge_worker_metrics,
     merged_worker_counters,
     start_metrics_server,
-)
-from repro.obs.trend import (
-    compare_benchmarks,
-    flatten_numeric,
-    metric_direction,
-    render_trend_report,
 )
 
 #: Counters that legitimately differ between a clean run and one that
@@ -277,63 +270,6 @@ class TestMetricsServer:
             assert "repro_x_total 1" in server.render()
         finally:
             server.shutdown()
-
-
-# ------------------------------------------------------------ trend
-class TestTrend:
-    def test_flatten_numeric_paths(self):
-        flat = flatten_numeric(
-            {"runs": {"fast": {"total_s": 1.5, "ok": True}},
-             "samples": [0.1, 0.2]}
-        )
-        assert flat == {
-            "runs.fast.total_s": 1.5,
-            "samples[0]": 0.1,
-            "samples[1]": 0.2,
-        }
-
-    def test_metric_direction_heuristics(self):
-        assert metric_direction("runs.fast.total_s") == "lower"
-        assert metric_direction("variants.2w2s.answer_seconds") == "lower"
-        assert metric_direction("respawns") == "lower"
-        assert metric_direction("speedup_maxw_vs_1w") == "higher"
-        assert metric_direction("workload.np") is None
-        assert metric_direction("runs.fast.index_std") is None  # _std != _s
-        assert metric_direction("total_s.details") is None  # leaf only
-
-    def test_regressions_and_improvements(self):
-        baseline = {"total_s": 1.0, "speedup": 2.0, "np": 1000}
-        worse = {"total_s": 1.3, "speedup": 1.2, "np": 1000}
-        entries = {e.path: e for e in compare_benchmarks(baseline, worse)}
-        assert entries["total_s"].regression
-        assert entries["speedup"].regression
-        assert not entries["np"].regression  # no direction, never flagged
-        better = {"total_s": 0.5, "speedup": 4.0, "np": 1000}
-        entries = {e.path: e for e in compare_benchmarks(baseline, better)}
-        assert not entries["total_s"].regression
-        assert entries["total_s"].improvement
-        within = {"total_s": 1.05, "speedup": 2.1, "np": 1000}
-        entries = {e.path: e for e in compare_benchmarks(baseline, within)}
-        assert not any(e.regression or e.improvement for e in entries.values())
-
-    def test_report_flags_fail_only_on_regression(self):
-        baseline = {"total_s": 1.0}
-        ok_report = render_trend_report(
-            {"B.json": compare_benchmarks(baseline, {"total_s": 1.0})}
-        )
-        assert "TREND OK" in ok_report
-        fail_report = render_trend_report(
-            {"B.json": compare_benchmarks(baseline, {"total_s": 2.0})}
-        )
-        assert "TREND FAIL" in fail_report and "REGRESSION" in fail_report
-
-    def test_round_trips_real_bench_json(self, tmp_path):
-        payload = {"workload": {"np": 100}, "runs": {"a": {"total_s": 0.5}}}
-        path = tmp_path / "BENCH_x.json"
-        path.write_text(json.dumps(payload))
-        current = json.loads(path.read_text())
-        entries = compare_benchmarks(payload, current)
-        assert all(not e.regression for e in entries)
 
 
 # ------------------------------------------------------------ validation

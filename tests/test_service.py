@@ -271,6 +271,17 @@ class TestPositions:
             assert tuple(pos[ids == 2][0]) == (0.5, 0.5)
             assert tuple(pos[ids == 0][0]) == (0.6, 0.6)
 
+    def test_update_positions_mixes_live_and_pending_ids(self):
+        with make_session() as s:
+            seed(s, n=4)
+            s.tick()
+            s.join_object(42, (0.1, 0.1))
+            s.update_positions([(0.6, 0.6), (0.3, 0.7)], object_ids=[42, 2])
+            s.tick()
+            ids, pos = s.population()
+            assert tuple(pos[ids == 42][0]) == (0.6, 0.6)
+            assert tuple(pos[ids == 2][0]) == (0.3, 0.7)
+
     def test_last_move_wins(self):
         """Reports between two ticks coalesce: the snapshot holds the last."""
         with make_session() as s:
