@@ -27,17 +27,13 @@ class AnswerList:
     sorts by distance (object id breaks exact ties deterministically).
     """
 
-    __slots__ = ("k", "_entries", "_neighbors_memo")
+    __slots__ = ("k", "_entries")
 
     def __init__(self, k: int) -> None:
         if k < 1:
             raise ConfigurationError(f"k must be >= 1, got {k}")
         self.k = k
         self._entries: List[Tuple[float, int]] = []
-        #: Memoized neighbors() result; answer reuse returns the same
-        #: AnswerList across cycles, so the sqrt/tuple materialization
-        #: only runs when the entries actually changed.
-        self._neighbors_memo: "List[Neighbor] | None" = None
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -47,7 +43,6 @@ class AnswerList:
 
     def clear(self) -> None:
         self._entries.clear()
-        self._neighbors_memo = None
 
     @property
     def full(self) -> bool:
@@ -80,13 +75,11 @@ class AnswerList:
         entry = (dist2, object_id)
         if len(entries) < self.k:
             insort(entries, entry)
-            self._neighbors_memo = None
             return True
         if entry >= entries[-1]:
             return False
         entries.pop()
         insort(entries, entry)
-        self._neighbors_memo = None
         return True
 
     def object_ids(self) -> List[int]:
@@ -94,17 +87,8 @@ class AnswerList:
         return [object_id for _, object_id in self._entries]
 
     def neighbors(self) -> List[Neighbor]:
-        """The answer as ``(object_id, distance)`` pairs, nearest first.
-
-        The result is memoized until the entries change; treat it as
-        read-only.
-        """
-        memo = self._neighbors_memo
-        if memo is None:
-            memo = self._neighbors_memo = [
-                (object_id, math.sqrt(d2)) for d2, object_id in self._entries
-            ]
-        return memo
+        """The answer as ``(object_id, distance)`` pairs, nearest first."""
+        return [(object_id, math.sqrt(d2)) for d2, object_id in self._entries]
 
     def kth_dist(self) -> float:
         """Distance to the k-th (furthest reported) neighbor."""

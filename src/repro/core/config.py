@@ -11,8 +11,6 @@ it always was — in the engine constructors — so direct engine users get
 the same errors as ``build_system()`` users.
 
 :data:`METHOD_CONFIGS` maps public method names to their config classes;
-:func:`make_engine` instantiates the engine for a config (with late
-imports, since the engines import this module's neighbors).
 :func:`repro.engines.registry.build_system`, the bench presets, and the
 session layer's config dicts all resolve methods through this registry.
 """
@@ -172,18 +170,6 @@ class FastGridConfig(MethodConfig):
 
 
 @dataclass(frozen=True)
-class DeltaGridConfig(MethodConfig):
-    """Incremental delta-CSR engine with dirty-region answer reuse."""
-
-    method = "delta_grid"
-    ncells: Optional[int] = None
-    delta: Optional[float] = None
-    patch_threshold: float = 0.3
-    slack: float = 0.5
-    reuse: bool = True
-
-
-@dataclass(frozen=True)
 class TPRConfig(MethodConfig):
     """Predictive TPR-tree engine (related-work baseline)."""
 
@@ -219,7 +205,6 @@ METHOD_CONFIGS: Dict[str, Type[MethodConfig]] = {
         RTreeConfig,
         BruteForceConfig,
         FastGridConfig,
-        DeltaGridConfig,
         TPRConfig,
         ShardedConfig,
     )
@@ -250,17 +235,3 @@ def resolve_config(
             f"got {type(config).__name__}"
         )
     return config.merged(**(overrides or {}))
-
-
-def make_engine(config: MethodConfig, k: int, queries) -> "object":
-    """Instantiate the engine a config describes.
-
-    Backward-compatible alias of
-    :func:`repro.engines.registry.make_engine` — the engine classes are
-    resolved through the single dotted-path table in
-    :data:`repro.engines.registry.ENGINE_PATHS` (late import: the engine
-    modules import this module's neighbors).
-    """
-    from ..engines.registry import make_engine as registry_make_engine
-
-    return registry_make_engine(config, k, queries)

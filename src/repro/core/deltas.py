@@ -59,10 +59,8 @@ class DeltaTracker:
     deltas against the previous cycle and accumulates churn statistics.
 
     Passing a :class:`~repro.obs.registry.MetricsRegistry` emits the
-    churn as ``delta_tracker.*`` counters alongside the engine's own
-    ``delta.*`` counters, which is what lets the cost-model validation
-    (:func:`repro.obs.validate.run_delta_validation`) cross-check answer
-    reuse against *observed* answer changes.
+    churn as ``delta_tracker.*`` counters beside the engine's own, so a
+    cycle's answer churn reads next to the work that produced it.
     """
 
     def __init__(self, registry: Optional[MetricsRegistry] = None) -> None:

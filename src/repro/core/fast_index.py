@@ -25,13 +25,12 @@ batched pass, in the spirit of Lettich et al.'s manycore k-NN engine:
   distance (the paper's §3.2 incremental radius, see
   :class:`FastGridEngine`); the radius is then the smaller of the two.
 
-Both pieces are *region-aware*: a :class:`CSRGrid` may cover any axis-
-aligned rectangle ``region = (x0, y0, x1, y1)`` with an ``nx x ny`` cell
-layout and carry caller-supplied global object IDs.  That makes the pair
-a reusable per-region snapshot/answer kernel — the sharded engine
-(:mod:`repro.shard`) builds one CSRGrid per spatial stripe and merges the
-per-shard ``batch_knn`` results, while :class:`FastGridEngine` keeps
-using the whole unit square as a single region.
+A :class:`CSRGrid` covers the unit square with ``ncells`` cells per side
+and may carry caller-supplied global object IDs.  :func:`batch_knn` is
+*region-aware*: it reads the grid's ``region = (x0, y0, x1, y1)`` and
+``nx x ny`` layout, so it also answers over the per-stripe
+:class:`~repro.core.delta_index.DeltaCSRGrid` of the sharded engine
+(:mod:`repro.shard`), which merges the per-stripe results.
 
 Exactness argument (same as the paper's Fig. 3): the ring growth stops at
 the first rectangle ``R0 = R(cq, l)`` holding at least ``k`` objects, so
@@ -82,7 +81,7 @@ def cell_index(v: np.ndarray, lo: float, hi: float, n: int) -> np.ndarray:
 
 
 class CSRGrid:
-    """A grid snapshot of one rectangular region in CSR layout.
+    """A grid snapshot of the unit square in CSR layout.
 
     Built in one vectorized pass over a ``(n, 2)`` position array:
 
@@ -99,11 +98,10 @@ class CSRGrid:
         ``(ny+1, nx+1)`` summed-area table of cell counts for O(1)
         rectangle population counts.
 
-    ``region = (x0, y0, x1, y1)`` defaults to the unit square and
-    ``ncells`` keeps the legacy square layout (``nx = ny = ncells``);
-    shards pass their stripe bounds plus an ``nx x ny`` layout sized for
-    the stripe's population.  ``object_ids`` maps local row indices to
-    global IDs so downstream tie-breaking stays global.
+    ``ncells`` cells per side (``nx = ny = ncells``, cell side ``delta``;
+    ``region``, ``dx`` and ``dy`` are the geometry :func:`batch_knn`
+    reads).  ``object_ids`` maps local row indices to global IDs so
+    downstream tie-breaking stays global.
     """
 
     __slots__ = (
@@ -114,35 +112,21 @@ class CSRGrid:
     def __init__(
         self,
         positions: np.ndarray,
-        ncells: Optional[int] = None,
+        ncells: int,
         *,
-        region: Tuple[float, float, float, float] = (0.0, 0.0, 1.0, 1.0),
-        nx: Optional[int] = None,
-        ny: Optional[int] = None,
         object_ids: Optional[np.ndarray] = None,
     ) -> None:
-        if ncells is not None:
-            nx = ny = int(ncells)
-        if nx is None or ny is None:
-            raise ConfigurationError("specify either ncells= or both nx= and ny=")
-        nx, ny = int(nx), int(ny)
-        if nx < 1 or ny < 1:
-            raise ConfigurationError(f"grid must have >= 1 cell per side, got {nx}x{ny}")
-        x0, y0, x1, y1 = (float(v) for v in region)
-        if not (x1 > x0 and y1 > y0):
-            raise ConfigurationError(f"degenerate region {region!r}")
+        n = int(ncells)
+        if n < 1:
+            raise ConfigurationError(f"grid must have >= 1 cell per side, got {n}")
         positions = np.asarray(positions, dtype=np.float64)
-        self.nx = nx
-        self.ny = ny
-        self.ncells = nx  # legacy alias; square unit-grids keep nx == ny
-        self.region = (x0, y0, x1, y1)
-        self.dx = (x1 - x0) / nx
-        self.dy = (y1 - y0) / ny
-        self.delta = self.dx  # legacy alias
+        self.nx = self.ny = self.ncells = n
+        self.region = (0.0, 0.0, 1.0, 1.0)
+        self.dx = self.dy = self.delta = 1.0 / n
         self.n_objects = len(positions)
         x = np.ascontiguousarray(positions[:, 0])
         y = np.ascontiguousarray(positions[:, 1])
-        flat = cell_index(y, y0, y1, ny) * nx + cell_index(x, x0, x1, nx)
+        flat = cell_index(y, 0.0, 1.0, n) * n + cell_index(x, 0.0, 1.0, n)
         # Introsort beats the stable radix sort ~5x on these keys; the
         # within-cell object order is irrelevant (ties are broken by ID at
         # selection time), so stability is not needed.
@@ -150,12 +134,12 @@ class CSRGrid:
         self.ids = order if object_ids is None else np.asarray(object_ids)[order]
         self.xs = x[order]
         self.ys = y[order]
-        counts = np.bincount(flat, minlength=nx * ny)
-        cell_start = np.zeros(nx * ny + 1, dtype=np.intp)
+        counts = np.bincount(flat, minlength=n * n)
+        cell_start = np.zeros(n * n + 1, dtype=np.intp)
         np.cumsum(counts, out=cell_start[1:])
         self.cell_start = cell_start
-        prefix = np.zeros((ny + 1, nx + 1), dtype=np.int64)
-        np.cumsum(np.cumsum(counts.reshape(ny, nx), axis=0), axis=1, out=prefix[1:, 1:])
+        prefix = np.zeros((n + 1, n + 1), dtype=np.int64)
+        np.cumsum(np.cumsum(counts.reshape(n, n), axis=0), axis=1, out=prefix[1:, 1:])
         self.prefix = prefix
         self._inv: Optional[np.ndarray] = None  # lazy id -> row permutation
 
@@ -175,8 +159,9 @@ class CSRGrid:
 
         The one snapshot-layout-specific step of :func:`batch_knn`: a
         :class:`CSRGrid` reads its permuted coordinate copies, while the
-        delta grid (:mod:`repro.core.delta_index`) resolves coordinates
-        lazily through its slot->object indirection and masks slack gaps.
+        sharded engine's stripe grid (:mod:`repro.core.delta_index`)
+        resolves coordinates lazily through its slot->object indirection
+        and masks slack gaps.
         """
         pdx = self.xs[cand] - px
         pdy = self.ys[cand] - py
@@ -189,10 +174,8 @@ class CSRGrid:
     # ------------------------------------------------------------------
     def locate(self, x: float, y: float) -> Tuple[int, int]:
         """Cell ``(i, j)`` of a point (clamped to the grid)."""
-        x0, y0, x1, y1 = self.region
-        i = min(max(int((x - x0) * (self.nx / (x1 - x0))), 0), self.nx - 1)
-        j = min(max(int((y - y0) * (self.ny / (y1 - y0))), 0), self.ny - 1)
-        return i, j
+        n = self.ncells
+        return min(max(int(x * n), 0), n - 1), min(max(int(y * n), 0), n - 1)
 
     def count_in_cells(self, ilo: int, jlo: int, ihi: int, jhi: int) -> int:
         """Number of objects inside the inclusive cell rectangle."""
@@ -241,17 +224,13 @@ class BatchKNNResult:
 
     ``top_d2``/``top_ids`` are ``(nq, k)`` arrays in the *caller's* query
     order; when the region holds fewer than ``k`` objects the tail
-    columns are padded with ``inf`` / ``-1``.  ``rects`` is the ``(nq, 4)``
-    array of per-query critical rectangles ``(ilo, jlo, ihi, jhi)`` in
-    clamped cell coordinates — the delta engine intersects them with the
-    next cycle's dirty-cell set to decide answer reuse.  ``stats`` carries
-    the algorithmic counters of the pass.
+    columns are padded with ``inf`` / ``-1``.  ``stats`` carries the
+    algorithmic counters of the pass.
     """
 
     top_d2: np.ndarray
     top_ids: np.ndarray
     stats: Dict[str, int]
-    rects: Optional[np.ndarray] = None
 
 
 def _empty_result(nq: int, k: int) -> BatchKNNResult:
@@ -259,7 +238,6 @@ def _empty_result(nq: int, k: int) -> BatchKNNResult:
         np.full((nq, k), np.inf),
         np.full((nq, k), -1, dtype=np.intp),
         {"ring_passes": 0, "groups": 0, "candidates": 0, "pairs": 0, "bounded": 0},
-        np.zeros((nq, 4), dtype=np.intp),
     )
 
 
@@ -297,7 +275,6 @@ def batch_knn(
     qy: np.ndarray,
     k: int,
     tracer: Tracer | NullTracer = NULL_TRACER,
-    seed_level: Optional[np.ndarray] = None,
     bound_d2: Optional[np.ndarray] = None,
 ) -> BatchKNNResult:
     """Exact batched k-NN of every query against one CSR region snapshot.
@@ -309,12 +286,6 @@ def batch_knn(
     ``inf`` distances and ``-1`` IDs (the sharded merge relies on this).
     Queries may lie outside the region; their home cell clamps to the
     nearest edge cell, which preserves exactness (see module docstring).
-
-    ``seed_level`` optionally starts each query's ring growth at a given
-    level instead of 0 (the delta engine seeds it from the previous
-    cycle's k-th distance).  Any seed is exact: growth still stops only
-    at a rectangle holding >= k objects, and a too-large seed merely
-    enlarges the candidate superset the exact selection then reduces.
 
     ``bound_d2`` optionally gives each query an upper bound on its k-th
     squared distance (``inf`` where there is none): the squared distance
@@ -347,19 +318,8 @@ def batch_knn(
         # Vectorized ring growth: every query still short of k objects
         # grows its rectangle R(cq, l) by one ring per pass; the
         # prefix-sum makes each pass O(NQ) with no per-object work.
-        if seed_level is None:
-            level = np.zeros(nq, dtype=np.intp)
-        else:
-            level = np.clip(
-                np.asarray(seed_level, dtype=np.intp), 0, max(nx, ny)
-            )
-        counts = csr.count_in_rects(
-            np.maximum(qi - level, 0),
-            np.maximum(qj - level, 0),
-            np.minimum(qi + level, nx - 1),
-            np.minimum(qj + level, ny - 1),
-        )
-        active = counts < k_eff
+        level = np.zeros(nq, dtype=np.intp)
+        active = csr.count_in_rects(qi, qj, qi, qj) < k_eff
         l = 0
         while active.any():
             l += 1
@@ -501,7 +461,6 @@ def batch_knn(
             "pairs": npairs,
             "bounded": bounded,
         },
-        np.column_stack((ilo, jlo, ihi, jhi)),
     )
 
 

@@ -22,10 +22,10 @@ Method                       Paper method
 ``brute_force``              linear-scan oracle (not in the paper; testing)
 ``fast_grid``                vectorized CSR + batched answering (production
                              fast path, not a paper method; see fast_index)
-``delta_grid``               incremental delta-CSR + dirty-region answer
-                             reuse (§3.2 insight, vectorized; delta_index)
-``sharded``                  stripe-sharded multiprocess engine (production
-                             scale-out path; see :mod:`repro.shard`)
+``sharded``                  stripe-sharded multiprocess engine over
+                             incrementally maintained delta-CSR stripes
+                             (production scale-out path; see
+                             :mod:`repro.shard`)
 ===========================  ==================================================
 
 ``build_system`` resolves the name through the engine registry and its
@@ -76,21 +76,15 @@ class MonitoringSystem:
     def history(self) -> List[CycleTiming]:
         return self.pipeline.history
 
+    # Read-only: ``pipeline.bind`` is the one way to swap the sinks, so
+    # the engine and the pipeline never disagree about them.
     @property
     def registry(self) -> MetricsRegistry:
         return self.pipeline.registry
 
-    @registry.setter
-    def registry(self, value: MetricsRegistry) -> None:
-        self.pipeline.registry = value
-
     @property
     def tracer(self):
         return self.pipeline.tracer
-
-    @tracer.setter
-    def tracer(self, value) -> None:
-        self.pipeline.tracer = value
 
     # -- monitoring ----------------------------------------------------
     @property

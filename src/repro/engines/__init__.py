@@ -6,8 +6,7 @@
 * One module per paper-faithful engine (``object_indexing``,
   ``query_indexing``, ``hierarchical``, ``rtree_engine``, ``brute``); the
   vectorized engines live with their kernels (``repro.core.fast_index``,
-  ``repro.core.delta_index``, ``repro.shard.engine``, and
-  ``repro.tprtree.engine`` for TPR).
+  ``repro.shard.engine``, and ``repro.tprtree.engine`` for TPR).
 * :mod:`~repro.engines.registry` — the single method-name -> engine
   table every construction path resolves through.
 * :mod:`~repro.engines.snapshot` — the :class:`SnapshotIndex` protocol

@@ -31,7 +31,6 @@ ENGINE_PATHS: Dict[str, Tuple[str, str]] = {
     "rtree": ("repro.engines.rtree_engine", "RTreeEngine"),
     "brute_force": ("repro.engines.brute", "BruteForceEngine"),
     "fast_grid": ("repro.core.fast_index", "FastGridEngine"),
-    "delta_grid": ("repro.core.delta_index", "DeltaGridEngine"),
     "tpr": ("repro.tprtree.engine", "TPREngine"),
     "sharded": ("repro.shard.engine", "ShardedGridEngine"),
 }
@@ -84,7 +83,6 @@ BENCH_PRESETS: Dict[str, Tuple[str, Dict[str, object]]] = {
     "brute_force": ("brute_force", {}),
     "tpr_predictive": ("tpr", {}),
     "fast_grid": ("fast_grid", {}),
-    "delta_grid": ("delta_grid", {}),
     "sharded": ("sharded", {}),
 }
 

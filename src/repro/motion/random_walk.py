@@ -43,7 +43,7 @@ class RandomWalkModel:
         Fraction of objects that move each cycle (default 1.0 — every
         object, the paper's setting).  Lower values model workloads
         where most objects report unchanged positions, the regime the
-        ``delta_grid`` engine's patch path and answer reuse target.
+        sharded engine's delta-CSR patch path targets.
     """
 
     def __init__(

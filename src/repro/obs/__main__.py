@@ -126,19 +126,15 @@ def _run(argv) -> int:
                         help="write a Prometheus text dump here")
     parser.add_argument("--validate", action="store_true",
                         help="also run the soundness checks: overhaul "
-                             "cost-model counters, delta-grid answer reuse, "
-                             "and sharded merged-worker telemetry")
+                             "cost-model counters and sharded merged-worker "
+                             "telemetry")
     args = parser.parse_args(argv)
 
     import numpy as np
 
     from .export import cycle_report, prometheus_text, write_history_jsonl
     from .registry import MetricsRegistry
-    from .validate import (
-        run_delta_validation,
-        run_sharded_validation,
-        run_validation,
-    )
+    from .validate import run_sharded_validation, run_validation
 
     rng = np.random.default_rng(args.seed)
     registry = MetricsRegistry()
@@ -160,12 +156,6 @@ def _run(argv) -> int:
         failed = False
         for report in (
             run_validation(
-                n_objects=args.n_objects,
-                n_queries=args.n_queries,
-                k=args.k,
-                seed=args.seed,
-            ),
-            run_delta_validation(
                 n_objects=args.n_objects,
                 n_queries=args.n_queries,
                 k=args.k,

@@ -364,86 +364,3 @@ def run_sharded_validation(
             "shards": shards,
         },
     )
-
-
-def run_delta_validation(
-    n_objects: int = 2000,
-    n_queries: int = 32,
-    k: int = 8,
-    cycles: int = 8,
-    seed: int = 7,
-    move_fraction: float = 0.002,
-    tolerance_factor: float = 4.0,
-) -> ValidationReport:
-    """Answer-reuse soundness check for the ``delta_grid`` engine.
-
-    Runs an instrumented low-churn workload (only ``move_fraction`` of
-    the objects move per cycle, so the dirty-region test lets most
-    queries carry their previous answer forward) with a
-    :class:`~repro.core.deltas.DeltaTracker` watching the *answers*.
-    The hard invariant: a query whose answer was carried forward
-    (``engine.last_reuse_mask``) must show **zero** churn in the
-    tracker's delta for that cycle — reuse that changes an answer would
-    be a correctness bug, so that check carries no tolerance.  Softer
-    checks confirm the run exercised reuse at all and that the engine's
-    reused/re-answered accounting covers every query every cycle.
-    """
-    import numpy as np
-
-    from ..core.deltas import DeltaTracker
-    from ..engines.registry import build_system
-    from .export import mean_cycle_counters
-    from .registry import MetricsRegistry
-
-    rng = np.random.default_rng(seed)
-    registry = MetricsRegistry()
-    system = build_system(
-        "delta_grid", k, rng.random((n_queries, 2)), registry=registry
-    )
-    tracker = DeltaTracker(registry=registry)
-    positions = rng.random((n_objects, 2))
-    tracker.update(system.load(positions))
-    violations = 0
-    reused = 0
-    movers_per_cycle = max(1, int(move_fraction * n_objects))
-    for _ in range(cycles):
-        positions = positions.copy()
-        movers = rng.choice(n_objects, movers_per_cycle, replace=False)
-        positions[movers] = np.clip(
-            positions[movers] + rng.normal(0.0, 0.05, (movers_per_cycle, 2)),
-            0.0,
-            1.0,
-        )
-        deltas = tracker.update(system.tick(positions))
-        mask = system.engine.last_reuse_mask
-        if mask is not None:
-            reused += int(mask.sum())
-            violations += sum(
-                1 for delta_q, m in zip(deltas, mask) if m and delta_q.changed
-            )
-    observed = mean_cycle_counters(system.history)
-    accounted = observed.get("delta.queries_reused", 0.0) + observed.get(
-        "delta.queries_reanswered", 0.0
-    )
-    checks = (
-        QuantityCheck(
-            "reused_query_churn_violations", float(violations), 0.0, 0.0
-        ),
-        QuantityCheck(
-            "queries_reused/cycle", reused / cycles, float(n_queries),
-            tolerance_factor,
-        ),
-        QuantityCheck(
-            "reuse_accounting/cycle", accounted, float(n_queries), 1.0
-        ),
-    )
-    return ValidationReport(
-        checks,
-        params={
-            "NP": n_objects,
-            "NQ": n_queries,
-            "k": k,
-            "cycles": cycles,
-            "move_fraction": move_fraction,
-        },
-    )

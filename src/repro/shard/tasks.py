@@ -12,11 +12,10 @@ escalation rounds of the same cycle reuse it as-is, so the snapshot is
 indexed at most once per shard per cycle no matter how many query
 batches arrive.
 
-Stripe grids run with ``track_dirty=False``: the snapshot arrives as a
-view over a shared-memory buffer that the parent rewrites in place, so
-old-coordinate comparisons would be unsound.  Mover detection stays
-exact regardless — it diffs against the grid's own stored cell
-assignments, not against the position buffer.
+The snapshot arrives as a view over a shared-memory buffer that the
+parent rewrites in place between cycles; mover detection stays exact
+because it diffs against the grid's own stored cell assignments, not
+against an older position buffer.
 
 Tasks carry everything they need (shard id, shard count, k, query
 coordinates) so a re-dispatched task after a worker crash is exactly the
@@ -50,7 +49,7 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from ..core.delta_index import DeltaCSRGrid
-from ..core.fast_index import CSRGrid, batch_knn
+from ..core.fast_index import batch_knn
 from ..obs.remote import ANSWER_SPAN, BUILD_SPAN, WorkerTelemetry
 from .partition import StripePartition, shard_grid_shape
 
@@ -77,33 +76,6 @@ def _stripe_members(
     if churn:
         owned &= x >= 0.0
     return np.flatnonzero(owned)
-
-
-def build_shard_csr(
-    positions: np.ndarray,
-    shard: int,
-    n_shards: int,
-    bounds=None,
-    churn: bool = False,
-) -> CSRGrid:
-    """CSR snapshot of one stripe, carrying global object IDs.
-
-    ``positions`` is the *full* ``(n, 2)`` snapshot (typically a view
-    over shared memory); membership is recomputed here with the same
-    ownership rule the parent's router uses, so boundary objects agree.
-    The CSRGrid copies the selected rows out of the buffer — nothing
-    retains a reference into shared memory after this returns.
-    """
-    partition = StripePartition(n_shards, bounds)
-    sel = _stripe_members(positions, partition, shard, churn)
-    nx, ny = shard_grid_shape(len(sel), n_shards)
-    return CSRGrid(
-        positions[sel],
-        region=partition.region(shard),
-        nx=nx,
-        ny=ny,
-        object_ids=sel,
-    )
 
 
 def run_shard_task(
@@ -162,7 +134,6 @@ def run_shard_task(
                 if obs:
                     stats = csr.last_stats
                     telemetry.inc("delta.movers", stats.movers)
-                    telemetry.inc("delta.dirty_cells", stats.dirty_cells)
                     telemetry.inc(
                         "delta.patch_cycles" if stats.mode == "patch"
                         else "delta.rebuild_cycles"
@@ -174,12 +145,7 @@ def run_shard_task(
                 # boundary, or the stripe population shifted enough to
                 # change the grid resolution.
                 csr = DeltaCSRGrid(
-                    positions,
-                    region=region,
-                    nx=nx,
-                    ny=ny,
-                    track_dirty=False,
-                    member_idx=sel,
+                    positions, region=region, nx=nx, ny=ny, member_idx=sel
                 )
                 telemetry.inc("shard.task.fresh_builds")
             if cache is not None:

@@ -13,8 +13,8 @@ returns the read-only positions view without copying, so engine code
 written against plain ``(N, 2)`` arrays keeps working unchanged.  A raw
 ndarray entering the pipeline is wrapped by :func:`as_world_snapshot`
 into an *anonymous* snapshot (``epoch is None``): correctness-neutral,
-but epoch-keyed fast paths (shared-memory reuse, content-stability
-hints) stay off because nothing vouches for the array's stability.
+but epoch-keyed fast paths (the sharded engine's shared-memory reuse)
+stay off because nothing vouches for the array's stability.
 
 The churn delta records (:class:`QueryDelta` / :class:`ObjectDelta`)
 live here too — they are state-plane records produced by the store and

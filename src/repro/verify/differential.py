@@ -39,12 +39,11 @@ EXACT_METHODS: Tuple[str, ...] = (
     "hierarchical",
     "rtree",
     "fast_grid",
-    "delta_grid",
     "sharded",
 )
 
 #: Counter-name substrings worth surfacing next to a divergence.
-_CANDIDATE_KEYS = ("candidate", "scanned", "visited", "reused", "answered")
+_CANDIDATE_KEYS = ("candidate", "scanned", "visited")
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,7 @@ cycles of interleaved query registration/drops, object joins/leaves, and
 motion must report answers *bit-identical* — same neighbor IDs in the
 same order, same float64 distances — to a throwaway engine built fresh
 every cycle from the surviving population.  Any drift in the incremental
-delta paths (stale reuse state, mis-remapped rows after compaction, a
+delta paths (a stale §3.2 bound, mis-remapped rows after compaction, a
 stripe cache surviving an epoch bump) shows up here as a first-class
 failure with the cycle number attached.
 
@@ -118,7 +118,7 @@ def drive_churn(
 
 @pytest.mark.parametrize(
     "method",
-    ["object_indexing", "fast_grid", "delta_grid"],
+    ["object_indexing", "fast_grid"],
 )
 def test_churn_matches_fresh_rebuild_200_cycles(method):
     drive_churn(method)
@@ -236,7 +236,7 @@ def test_compaction_preserves_answer_ids():
     population: the universe compacts (rows remap) and reported IDs must
     still be the external ones."""
     rng = np.random.default_rng(5)
-    with MonitoringSession("delta_grid", k=K) as session:
+    with MonitoringSession("fast_grid", k=K) as session:
         for oid in range(600):
             session.join_object(oid, _lattice(rng, 1)[0])
         handle = session.register_query((0.5, 0.5))
@@ -246,7 +246,7 @@ def test_compaction_preserves_answer_ids():
         answers = session.tick()
         assert session.registry.counter("service.compactions") == 0.0  # null registry
         ids, pos = session.population()
-        fresh = build_system("delta_grid", K, session.query_points())
+        fresh = build_system("fast_grid", K, session.query_points())
         fresh_answers = fresh.load(pos)
         want = tuple(
             (int(ids[oid]), dist) for oid, dist in fresh_answers[0].neighbors

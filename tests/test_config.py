@@ -10,7 +10,6 @@ from repro.core.config import (
     ObjectIndexingConfig,
     RTreeConfig,
     ShardedConfig,
-    make_engine,
     resolve_config,
 )
 from repro.errors import ConfigurationError
@@ -23,7 +22,7 @@ class TestRegistry:
     def test_every_method_has_a_config_class(self):
         expected = {
             "object_indexing", "query_indexing", "hierarchical", "rtree",
-            "brute_force", "fast_grid", "delta_grid", "tpr", "sharded",
+            "brute_force", "fast_grid", "tpr", "sharded",
         }
         assert set(METHOD_CONFIGS) == expected
         for name, cls in METHOD_CONFIGS.items():
@@ -134,7 +133,7 @@ class TestCreate:
             ("rtree", "rtree/overhaul", {}),
             ("brute_force", "brute-force", {}),
             ("fast_grid", "fast-grid", {}),
-            ("delta_grid", "delta-grid", {}),
+            ("fast_grid", "fast-grid", {"ncells": 8}),
             ("tpr", "tprtree/predictive", {}),
             # oversubscribe makes the effective worker count (and so the
             # engine name) independent of the CI box's core count.

@@ -1,18 +1,17 @@
-"""Delta-CSR engine: bit-identical equivalence, reuse soundness, patching."""
+"""Delta-CSR stripe grid: both maintenance regimes exact against brute force."""
 
 import numpy as np
 import pytest
 
-from repro import MetricsRegistry, build_system
+from repro import build_system
 from repro.core import delta_index
-from repro.core.delta_index import DeltaCSRGrid, DeltaGridEngine
+from repro.core.brute import brute_force_knn
+from repro.core.delta_index import DeltaCSRGrid
 from repro.core.fast_index import batch_knn
-from repro.errors import (
-    ConfigurationError,
-    IndexStateError,
-    NotEnoughObjectsError,
-)
+from repro.errors import ConfigurationError
 from repro.motion.random_walk import RandomWalkModel
+
+UNIT = (0.0, 0.0, 1.0, 1.0)
 
 
 def canonical(query_answers, places=12):
@@ -26,6 +25,29 @@ def canonical(query_answers, places=12):
         [(round(dist, places), object_id) for object_id, dist in answer.neighbors]
         for answer in query_answers
     ]
+
+
+def canonical_rows(result, places=12):
+    """:func:`canonical` of one :func:`batch_knn` result."""
+    return [
+        [(round(float(np.sqrt(d2)), places), int(i)) for d2, i in zip(d2s, ids)]
+        for d2s, ids in zip(result.top_d2, result.top_ids)
+    ]
+
+
+def brute_rows(positions, queries, k, places=12):
+    return [
+        [(round(dist, places), i) for i, dist in brute_force_knn(positions, qx, qy, k)]
+        for qx, qy in queries
+    ]
+
+
+def unit_grid(positions, ncells):
+    """A grid over the unit square holding every row of ``positions``."""
+    return DeltaCSRGrid(
+        positions, region=UNIT, nx=ncells, ny=ncells,
+        member_idx=np.arange(len(positions)),
+    )
 
 
 def sitter_dataset(rng, n, ncells):
@@ -43,12 +65,12 @@ def sitter_dataset(rng, n, ncells):
 
 
 class TestEquivalence:
-    """delta_grid == fast_grid == brute_force, bit for bit, 50+ cycles.
+    """DeltaCSRGrid + batch_knn == fast_grid == brute_force, 50+ cycles.
 
     The walk covers both maintenance regimes: 25 cycles of fast
     reflecting-boundary motion (every object moves -> rebuild regime),
-    then 25 cycles where only ~1% of objects move (patch regime + answer
-    reuse).  The query set is swapped mid-run.
+    then 25 cycles where only ~1% of objects move (patch regime).  The
+    query set is swapped mid-run.
     """
 
     N, NQ, K, SWAP_AT = 400, 25, 6, 30
@@ -56,8 +78,7 @@ class TestEquivalence:
     @pytest.fixture(scope="class")
     def snapshots(self):
         rng = np.random.default_rng(42)
-        # Sitters on the boundaries of both the delta engine's default
-        # grid (10 cells/side at N=400) and fast_grid's (20 cells/side).
+        # Sitters on the boundaries of the 10- and 20-cell grids.
         current = sitter_dataset(rng, self.N, 20)
         snaps = [current]
         fast = RandomWalkModel(vmax=0.2, boundary="reflect", seed=1)
@@ -93,6 +114,17 @@ class TestEquivalence:
             system.close()
         return trace
 
+    def _grid_walk(self, snapshots, queries, ncells=10):
+        """Answers and update modes of one grid kept up to date over the walk."""
+        grid = unit_grid(snapshots[0], ncells)
+        trace, modes = [], []
+        for cycle, positions in enumerate(snapshots):
+            if cycle:
+                modes.append(grid.update(positions, np.arange(len(positions))).mode)
+            q = queries[0] if cycle < self.SWAP_AT else queries[1]
+            trace.append(canonical_rows(batch_knn(grid, q[:, 0], q[:, 1], self.K)))
+        return trace, modes
+
     @pytest.fixture(scope="class")
     def reference(self, snapshots, queries):
         return self._walk(
@@ -105,41 +137,30 @@ class TestEquivalence:
         )
         assert trace == reference
 
-    def test_delta_grid_matches_and_covers_both_regimes(
+    def test_stripe_grid_matches_and_covers_both_regimes(
         self, reference, snapshots, queries
     ):
-        registry = MetricsRegistry()
-        trace = self._walk(
-            lambda k, q: build_system("delta_grid", k, q, registry=registry),
-            snapshots,
-            queries,
-        )
+        trace, modes = self._grid_walk(snapshots, queries)
         assert trace == reference
         # The walk must actually exercise what it claims to exercise.
-        assert registry.counter("delta.rebuild_cycles") > 0
-        assert registry.counter("delta.patch_cycles") > 0
-        assert registry.counter("delta.queries_reused") > 0
-        assert registry.counter("delta.queries_reanswered") > 0
+        assert {"patch", "rebuild"} <= set(modes)
 
     @pytest.mark.parametrize(
-        "label,options",
+        "threshold,ncells,want_modes",
         [
-            ("no-reuse", {"reuse": False}),
-            ("patch-forced", {"patch_threshold": 1.0}),
-            ("rebuild-forced", {"patch_threshold": 0.0}),
-            ("coarse-grid", {"ncells": 5}),
-            ("fine-grid", {"ncells": 31}),
+            pytest.param(1.0, 10, {"patch", "rebuild"}, id="patch-forced"),
+            pytest.param(0.0, 10, {"rebuild"}, id="rebuild-forced"),
+            pytest.param(0.3, 5, {"patch", "rebuild"}, id="coarse-grid"),
+            pytest.param(0.3, 31, {"patch", "rebuild"}, id="fine-grid"),
         ],
     )
-    def test_delta_grid_variants_match(
-        self, reference, snapshots, queries, label, options
+    def test_grid_variants_match(
+        self, reference, snapshots, queries, monkeypatch, threshold, ncells, want_modes
     ):
-        trace = self._walk(
-            lambda k, q: build_system("delta_grid", k, q, **options),
-            snapshots,
-            queries,
-        )
+        monkeypatch.setattr(delta_index, "_PATCH_THRESHOLD", threshold)
+        trace, modes = self._grid_walk(snapshots, queries, ncells)
         assert trace == reference
+        assert set(modes) == want_modes
 
     def test_argsort_fallback_matches(
         self, reference, snapshots, queries, monkeypatch
@@ -147,61 +168,32 @@ class TestEquivalence:
         # CI has no scipy; locally, force the fallback grouping path so
         # both grouping implementations face the full walk.
         monkeypatch.setattr(delta_index, "_USE_SCIPY", False)
-        trace = self._walk(
-            lambda k, q: build_system("delta_grid", k, q), snapshots, queries
-        )
+        trace, _ = self._grid_walk(snapshots, queries)
         assert trace == reference
 
 
 class TestCompaction:
-    def test_overflowing_slack_compacts_and_stays_exact(self):
+    def test_overflowing_slack_compacts_and_stays_exact(self, monkeypatch):
+        monkeypatch.setattr(delta_index, "_SLACK", 0.01)
+        monkeypatch.setattr(delta_index, "_PATCH_THRESHOLD", 1.0)
         rng = np.random.default_rng(5)
         positions = rng.random((500, 2))
         queries = rng.random((12, 2))
-        registry = MetricsRegistry()
-        system = build_system(
-            "delta_grid", 4, queries, slack=0.01, patch_threshold=1.0, registry=registry
-        )
-        oracle = build_system("brute_force", 4, queries)
-        assert canonical(system.load(positions)) == canonical(
-            oracle.load(positions)
-        )
+        grid = unit_grid(positions, 11)
+        compacted = 0
         walk = RandomWalkModel(vmax=0.02, boundary="reflect", seed=6)
         for positions in walk.run(positions, 30):
-            assert canonical(system.tick(positions)) == canonical(
-                oracle.tick(positions)
-            )
-        assert system.engine.grid.compactions > 0
-        assert registry.counter("delta.compactions") > 0
+            compacted += grid.update(positions, np.arange(500)).compacted
+            got = batch_knn(grid, queries[:, 0], queries[:, 1], 4)
+            assert canonical_rows(got) == brute_rows(positions, queries, 4)
+        assert compacted > 0
 
 
-class TestAnswerReuse:
-    def test_reused_answers_are_previous_answers(self):
-        rng = np.random.default_rng(8)
-        positions = rng.random((2000, 2))
-        queries = rng.random((40, 2))
-        system = build_system("delta_grid", 6, queries)
-        oracle = build_system("brute_force", 6, queries)
-        previous = canonical(system.load(positions))
-        oracle.load(positions)
-        reused_total = 0
-        for _ in range(20):
-            positions = positions.copy()
-            movers = rng.choice(2000, 5, replace=False)
-            positions[movers] = rng.random((5, 2))
-            got = canonical(system.tick(positions))
-            assert got == canonical(oracle.tick(positions))
-            mask = system.engine.last_reuse_mask
-            for q in np.flatnonzero(mask):
-                assert got[q] == previous[q]
-            reused_total += int(mask.sum())
-            previous = got
-        assert reused_total > 0
-
+class TestPatch:
     def test_knife_edge_mover_into_rect_border_is_detected(self):
-        # A cluster far from the query fixes a large k-th distance; an
+        # A cluster far from the query fixes a large k-th distance; one
         # object teleporting right next to the query must evict a
-        # neighbor even though most of the grid is untouched.
+        # neighbor although the patch touches only two cells.
         queries = np.array([[0.05, 0.05]])
         positions = np.vstack([
             np.column_stack([
@@ -209,13 +201,16 @@ class TestAnswerReuse:
             ]),
             np.random.default_rng(3).random((500, 2)) * 0.2 + [0.7, 0.7],
         ])
-        system = build_system("delta_grid", 3, queries)
-        oracle = build_system("brute_force", 3, queries)
-        system.load(positions)
-        oracle.load(positions)
+        members = np.arange(len(positions))
+        grid = unit_grid(positions, 11)
+        grid.update(positions, members)  # lays out the slack
         moved = positions.copy()
         moved[-1] = [0.051, 0.05]   # lands inside the critical rectangle
-        assert canonical(system.tick(moved)) == canonical(oracle.tick(moved))
+        stats = grid.update(moved, members)
+        assert stats.mode == "patch" and stats.movers == 1
+        got = batch_knn(grid, queries[:, 0], queries[:, 1], 3)
+        assert canonical_rows(got) == brute_rows(moved, queries, 3)
+        assert got.top_ids[0, 0] == len(moved) - 1
 
 
 class TestGridInternals:
@@ -226,15 +221,9 @@ class TestGridInternals:
         rng = np.random.default_rng(11)
         n = 3000
         positions = rng.random((n, 2))
+        stripe = dict(region=(0.0, 0.0, 0.5, 1.0), nx=8, ny=16)
         members = np.flatnonzero(positions[:, 0] < 0.5)
-        grid = DeltaCSRGrid(
-            positions,
-            region=(0.0, 0.0, 0.5, 1.0),
-            nx=8,
-            ny=16,
-            track_dirty=False,
-            member_idx=members,
-        )
+        grid = DeltaCSRGrid(positions, member_idx=members, **stripe)
         for _ in range(10):
             positions = positions.copy()
             movers = rng.choice(n, 200, replace=False)
@@ -242,14 +231,7 @@ class TestGridInternals:
             members = np.flatnonzero(positions[:, 0] < 0.5)
             grid.update(positions, member_idx=members)
             assert grid.n_objects == len(members)
-            fresh = DeltaCSRGrid(
-                positions,
-                region=(0.0, 0.0, 0.5, 1.0),
-                nx=8,
-                ny=16,
-                track_dirty=False,
-                member_idx=members,
-            )
+            fresh = DeltaCSRGrid(positions, member_idx=members, **stripe)
             qx = rng.random(10) * 0.5
             qy = rng.random(10)
             got = batch_knn(grid, qx, qy, 4)
@@ -257,56 +239,50 @@ class TestGridInternals:
             np.testing.assert_array_equal(got.top_ids, want.top_ids)
             np.testing.assert_array_equal(got.top_d2, want.top_d2)
 
-    def test_in_place_mutation_disables_reuse_but_stays_exact(self):
+    def test_in_place_mutation_stays_exact(self):
+        # The stripe tasks' snapshot is a shared-memory buffer that the
+        # parent rewrites in place: movers come from the stored cells,
+        # not from the previous array.
         rng = np.random.default_rng(13)
         positions = rng.random((1000, 2))
-        grid = DeltaCSRGrid(positions, 10)
-        positions[rng.choice(1000, 10, replace=False)] = rng.random((10, 2))
-        stats = grid.update(positions)   # same array object, mutated
-        assert stats.dirty_all
-        fresh = DeltaCSRGrid(positions.copy(), 10)
-        qx, qy = rng.random(8), rng.random(8)
-        got = batch_knn(grid, qx, qy, 5)
-        want = batch_knn(fresh, qx, qy, 5)
-        np.testing.assert_array_equal(got.top_ids, want.top_ids)
+        grid = unit_grid(positions, 10)
+        for _ in range(3):
+            positions[rng.choice(1000, 10, replace=False)] = rng.random((10, 2))
+            assert grid.update(positions, np.arange(1000)).movers <= 10
+            queries = rng.random((8, 2))
+            got = batch_knn(grid, queries[:, 0], queries[:, 1], 5)
+            assert canonical_rows(got) == brute_rows(positions, queries, 5)
 
     def test_population_resize_rebuilds(self):
         rng = np.random.default_rng(17)
-        grid = DeltaCSRGrid(rng.random((100, 2)), 4)
-        stats = grid.update(rng.random((250, 2)))
+        grid = unit_grid(rng.random((100, 2)), 4)
+        stats = grid.update(rng.random((250, 2)), np.arange(250))
         assert stats.mode == "rebuild"
         assert grid.n_objects == 250
 
 
 class TestContracts:
     def test_not_enough_objects(self):
-        engine = DeltaGridEngine(5, np.array([[0.5, 0.5]]))
-        engine.load(np.random.default_rng(0).random((3, 2)))
-        with pytest.raises(NotEnoughObjectsError):
-            engine.answer()
-
-    def test_answer_before_load(self):
-        engine = DeltaGridEngine(2, np.array([[0.5, 0.5]]))
-        with pytest.raises(IndexStateError):
-            engine.answer()
+        # The sharded merge relies on a short stripe padding its answer.
+        positions = np.random.default_rng(0).random((3, 2))
+        result = batch_knn(unit_grid(positions, 2), [0.5], [0.5], 5)
+        assert sorted(result.top_ids[0, :3].tolist()) == [0, 1, 2]
+        assert result.top_ids[0, 3:].tolist() == [-1, -1]
+        assert np.isinf(result.top_d2[0, 3:]).all()
 
     def test_no_queries(self):
-        engine = DeltaGridEngine(2, np.empty((0, 2)))
-        engine.load(np.random.default_rng(0).random((10, 2)))
-        assert engine.answer() == []
+        grid = unit_grid(np.random.default_rng(0).random((10, 2)), 3)
+        result = batch_knn(grid, np.empty(0), np.empty(0), 2)
+        assert result.top_ids.shape == (0, 2)
 
     def test_rejects_bad_options(self):
-        queries = np.array([[0.5, 0.5]])
+        positions = np.random.default_rng(0).random((4, 2))
+        members = np.arange(4)
         with pytest.raises(ConfigurationError):
-            build_system("delta_grid", 2, queries, ncell=8)
+            DeltaCSRGrid(np.zeros((4, 3)), region=UNIT, nx=4, ny=4, member_idx=members)
         with pytest.raises(ConfigurationError):
-            # ncells and delta are mutually exclusive; resolved at build.
-            build_system("delta_grid", 2, queries, ncells=8, delta=0.1).load(
-                np.random.default_rng(0).random((10, 2))
+            DeltaCSRGrid(positions, region=UNIT, nx=0, ny=4, member_idx=members)
+        with pytest.raises(ConfigurationError):
+            DeltaCSRGrid(
+                positions, region=(0.5, 0.0, 0.5, 1.0), nx=4, ny=4, member_idx=members
             )
-        with pytest.raises(ConfigurationError):
-            DeltaCSRGrid(np.zeros((4, 3)), 4)
-
-    def test_engine_name_and_registry_entry(self):
-        system = build_system("delta_grid", 2, np.array([[0.5, 0.5]]))
-        assert system.engine.name == "delta-grid"

@@ -194,3 +194,15 @@ class TestFacadeCompatibility:
         system.pipeline.bind(registry)
         assert system.registry is registry
         assert system.engine.metrics is registry
+
+    def test_registry_and_tracer_are_read_only_on_the_facade(self):
+        # Assigning either one would bypass CyclePipeline.bind and leave
+        # the engine on its old sinks.
+        from repro.obs.registry import MetricsRegistry
+        from repro.obs.tracing import NULL_TRACER
+
+        system = build_system("fast_grid", 2, QUERIES)
+        with pytest.raises(AttributeError):
+            system.registry = MetricsRegistry()
+        with pytest.raises(AttributeError):
+            system.tracer = NULL_TRACER

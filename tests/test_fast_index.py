@@ -12,12 +12,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core import fast_index
 from repro.core.answers import answers_equal
 from repro.core.brute import brute_force_knn
 from repro.core.fast_index import (
     CSRGrid,
     FastGridEngine,
-    batch_knn,
     cell_index,
     kth_smallest,
 )
@@ -176,8 +176,15 @@ class TestFastEngineExactness:
                 lexicographic_knn(positions, qx, qy, 9)
             )
 
-    def test_skewed_candidate_blocks_one_select(self):
+    def test_skewed_candidate_blocks_one_select(self, monkeypatch):
         """Candidate blocks of very different sizes rank through one select."""
+        blocks = []
+
+        def spy(d2, counts, starts, k):
+            blocks.append(counts.copy())
+            return kth_smallest(d2, counts, starts, k)
+
+        monkeypatch.setattr(fast_index, "kth_smallest", spy)
         rng = np.random.default_rng(14)
         # One huge cluster gives one query a candidate block far larger
         # than the others', so the k-th-distance buckets span many
@@ -190,10 +197,9 @@ class TestFastEngineExactness:
         )
         engine = FastGridEngine(5, queries)
         engine.load(positions)
-        result = batch_knn(engine.csr, queries[:, 0], queries[:, 1], 5)
-        per_query = engine.csr.count_in_rects(*result.rects.T)
-        assert per_query.max() > 64 * per_query.min()
         answers = engine.answer()
+        (per_query,) = blocks
+        assert per_query.max() > 64 * per_query.min()
         for answer, (qx, qy) in zip(answers, queries):
             assert answer.neighbors() == pytest.approx(
                 lexicographic_knn(positions, qx, qy, 5)

@@ -205,17 +205,16 @@ class TestGridStageSpans:
         queries = make_queries(4, seed=31)
         positions = make_dataset("uniform", 200, seed=32)
         moved = RandomWalkModel(vmax=0.01, seed=33).step(positions)
-        for method in ("fast_grid", "delta_grid"):
-            system = build_system(method, 3, queries)
-            assert system.engine.tracer is NULL_TRACER, method
-            system.load(positions)
-            system.tick(moved)
-            assert [r.span_means() for r in system.history] == [{}, {}], method
+        system = build_system("fast_grid", 3, queries)
+        assert system.engine.tracer is NULL_TRACER
+        system.load(positions)
+        system.tick(moved)
+        assert [r.span_means() for r in system.history] == [{}, {}]
 
     @pytest.mark.parametrize(
         "method,build",
-        [("fast_grid", "csr_snapshot"), ("delta_grid", "delta_update")],
-        ids=["fast_grid", "delta_grid"],
+        [("fast_grid", "csr_snapshot")],
+        ids=["fast_grid"],
     )
     def test_stages_are_spans_under_the_cycle(self, method, build):
         queries = make_queries(4, seed=31)

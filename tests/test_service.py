@@ -9,7 +9,7 @@ position interface, and the ``service.*`` telemetry.
 import numpy as np
 import pytest
 
-from repro.core.config import DeltaGridConfig
+from repro.core.config import FastGridConfig
 from repro.core.brute import brute_force_knn
 from repro.errors import ConfigurationError, NotEnoughObjectsError, OutOfRegionError
 from repro.obs.registry import MetricsRegistry
@@ -416,9 +416,10 @@ class TestInputBoundary:
 
 class TestConstruction:
     def test_typed_config_supplies_method(self):
-        cfg = DeltaGridConfig(patch_threshold=0.5)
+        cfg = FastGridConfig(ncells=16)
         with MonitoringSession(k=2, config=cfg) as s:
-            assert s.engine.__class__.__name__ == "DeltaGridEngine"
+            assert s.engine.__class__.__name__ == "FastGridEngine"
+            assert s.engine._ncells == 16
             assert s.k == 2
 
     def test_dict_config_supplies_method(self):
@@ -465,7 +466,7 @@ class TestTelemetry:
         """The point of the delta hooks: member-mode engines absorb churn
         without a pipeline-level rebuild cycle."""
         reg = MetricsRegistry()
-        with make_session("delta_grid", registry=reg) as s:
+        with make_session("fast_grid", registry=reg) as s:
             seed(s, n=20)
             s.register_query((0.5, 0.5))
             s.tick()

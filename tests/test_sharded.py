@@ -12,7 +12,7 @@ from repro import MetricsRegistry, build_system
 from repro.errors import ConfigurationError, NotEnoughObjectsError
 from repro.shard import ShardedGridEngine, StripePartition, shard_grid_shape
 from repro.shard.engine import _merge_chunks
-from repro.shard.tasks import build_shard_csr
+from repro.shard.tasks import _stripe_members
 
 
 def canonical(query_answers, places=12):
@@ -52,12 +52,14 @@ class TestPartition:
     def test_every_object_owned_once(self):
         rng = np.random.default_rng(3)
         positions = boundary_heavy_dataset(rng, 500, 5)
-        owners = StripePartition(5).shard_of(positions[:, 0])
+        partition = StripePartition(5)
+        owners = partition.shard_of(positions[:, 0])
         assert owners.min() >= 0 and owners.max() <= 4
-        total = sum(
-            len(build_shard_csr(positions, s, 5).ids) for s in range(5)
-        )
-        assert total == len(positions)
+        members = np.concatenate([
+            _stripe_members(positions, partition, s, churn=False)
+            for s in range(5)
+        ])
+        np.testing.assert_array_equal(np.sort(members), np.arange(len(positions)))
 
     def test_range_overlapping_closed_on_boundaries(self):
         partition = StripePartition(4)

@@ -179,7 +179,7 @@ class TestPacked:
         assert store.full_copies == 1
 
 
-@pytest.mark.parametrize("method", ["object_indexing", "fast_grid", "delta_grid"])
+@pytest.mark.parametrize("method", ["object_indexing", "fast_grid"])
 def test_store_churn_bit_identical_100_cycles(method):
     """100 cycles of mixed churn through the store match the fresh-engine
     oracle bit for bit (ids, order, and float64 distances)."""

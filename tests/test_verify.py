@@ -406,7 +406,6 @@ class TestMutationCatch:
             )[: self.k]
             accepted = (dist2, object_id) in entries
             self._entries[:] = entries
-            self._neighbors_memo = None
             return accepted
 
         monkeypatch.setattr(AnswerList, "offer", mutated)
@@ -503,7 +502,6 @@ class TestCli:
             )[: self.k]
             accepted = (dist2, object_id) in entries
             self._entries[:] = entries
-            self._neighbors_memo = None
             return accepted
 
         monkeypatch.setattr(AnswerList, "offer", mutated)
