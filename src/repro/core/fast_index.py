@@ -6,13 +6,17 @@ deliberately stay pure-Python so the reproduced cost model holds; see
 DESIGN.md).  It keeps the paper's algorithmic skeleton — grid snapshot,
 ring growth to a critical radius, critical-rectangle scan — but lays the
 grid out as flat numpy arrays and answers all queries of a cycle in one
-batched pass, in the spirit of Lettich et al.'s manycore k-NN engine:
+batched pass, in the spirit of Lettich et al.'s manycore k-NN engine,
+which likewise rebuilds one flat grid per tick:
 
-* **CSR snapshot** (:class:`CSRGrid`): one ``argsort`` over flat cell IDs
-  plus one ``bincount``/``cumsum`` produce ``cell_start`` offsets and
-  permuted ``xs``/``ys``/``ids`` arrays, so "all objects in cells
-  ``(ilo..ihi, j)``" is a single contiguous slice.  A 2-D prefix-sum of
-  the cell counts makes "objects inside rectangle R" an O(1) lookup.
+* **CSR snapshot** (:class:`CSRGrid`): one counting sort groups the row
+  ids of the indexed objects by flat cell ID (SciPy's C ``coo_tocsr``
+  when its import-time self-test passes, an int32 ``argsort``
+  otherwise), so "all objects in cells ``(ilo..ihi, j)``" is a single
+  contiguous slice of ``ids``; coordinates are read through those ids,
+  never copied.  A 2-D prefix-sum of the cell counts makes "objects
+  inside rectangle R" an O(1) lookup.  The grid is rebuilt from scratch
+  on every update, like the paper's overhaul snapshot (§3.1).
 * **Batched answering** (:func:`batch_knn`): per-query critical radii
   come from vectorized ring growth over the prefix-sum (every active
   query advances one ring per pass, no per-object work); queries are
@@ -25,12 +29,10 @@ batched pass, in the spirit of Lettich et al.'s manycore k-NN engine:
   distance (the paper's §3.2 incremental radius, see
   :class:`FastGridEngine`); the radius is then the smaller of the two.
 
-A :class:`CSRGrid` covers the unit square with ``ncells`` cells per side
-and may carry caller-supplied global object IDs.  :func:`batch_knn` is
-*region-aware*: it reads the grid's ``region = (x0, y0, x1, y1)`` and
-``nx x ny`` layout, so it also answers over the per-stripe
-:class:`~repro.core.delta_index.DeltaCSRGrid` of the sharded engine
-(:mod:`repro.shard`), which merges the per-stripe results.
+A :class:`CSRGrid` covers any axis-aligned ``region`` with ``nx x ny``
+cells: :class:`FastGridEngine` indexes the unit square, and the sharded
+engine (:mod:`repro.shard`) keeps one grid per vertical stripe and
+merges the per-stripe :func:`batch_knn` results.
 
 Exactness argument (same as the paper's Fig. 3): the ring growth stops at
 the first rectangle ``R0 = R(cq, l)`` holding at least ``k`` objects, so
@@ -61,88 +63,203 @@ from ..obs.tracing import NULL_TRACER, NullTracer, Tracer
 from ..engines.base import BaseEngine, _as_queries
 from .answers import AnswerList
 
+try:  # pragma: no cover - exercised via _scipy_group_works()
+    from scipy.sparse import _sparsetools as _scipy_sparsetools
+except ImportError:  # pragma: no cover - scipy absent in minimal CI envs
+    _scipy_sparsetools = None
+
 #: Relative and absolute pad on every critical radius: an object at exactly
 #: the radius must fall inside the critical rectangle even when ``q ± r``
 #: rounds across a cell boundary.
 RADIUS_PAD_REL = 1e-9
 RADIUS_PAD_ABS = 1e-12
 
+#: The region a grid covers unless told otherwise: the unit square.
+UNIT_REGION = (0.0, 0.0, 1.0, 1.0)
 
-def cell_index(v: np.ndarray, lo: float, hi: float, n: int) -> np.ndarray:
+
+def _scipy_group_works() -> bool:
+    """Verify the C counting-sort kernel on a tiny case before trusting it.
+
+    ``coo_tocsr`` is private SciPy API; a signature or semantics change in
+    a future release must demote us to the argsort fallback, not corrupt
+    the index.
+    """
+    if _scipy_sparsetools is None or not hasattr(_scipy_sparsetools, "coo_tocsr"):
+        return False
+    try:
+        rows = np.array([2, 0, 2, 1], dtype=np.int32)
+        cols = np.array([0, 1, 2, 3], dtype=np.int32)
+        ones = np.ones(4, dtype=np.int8)
+        indptr = np.zeros(4, dtype=np.int32)
+        indices = np.empty(4, dtype=np.int32)
+        data_out = np.empty(4, dtype=np.int8)
+        _scipy_sparsetools.coo_tocsr(
+            3, 4, 4, rows, cols, ones, indptr, indices, data_out
+        )
+    except Exception:
+        return False
+    return indptr.tolist() == [0, 1, 2, 4] and indices.tolist() == [1, 3, 0, 2]
+
+
+#: Whether :class:`CSRGrid` groups with SciPy's kernel; tests monkeypatch
+#: it to run the argsort fallback.
+_USE_SCIPY = _scipy_group_works()
+
+
+def cell_index(
+    v: np.ndarray, lo: float, hi: float, n: int, dtype=np.intp
+) -> np.ndarray:
     """Clamped cell index along one axis of ``n`` cells over ``[lo, hi)``.
 
     The one cell expression of the fast path: snapshot cells, query home
     cells and critical-rectangle bounds all come from it, so a point on a
     cell boundary lands in the same cell whichever of them asks.  The
     clamp runs on floats, before the cast, so coordinates far outside the
-    region (or infinite) clamp to the edge cells instead of overflowing.
+    region (or infinite) clamp to the edge cells instead of overflowing,
+    and NaN lands in cell 0: every result is a valid index, which the
+    counting sort's C kernel relies on.
     """
-    return np.clip((v - lo) * (n / (hi - lo)), 0, n - 1).astype(np.intp)
+    c = (np.asarray(v, dtype=np.float64) - lo) * (n / (hi - lo))
+    np.fmax(c, 0.0, out=c)  # fmax, unlike clip, maps NaN to 0
+    np.fmin(c, n - 1, out=c)
+    return c.astype(dtype)
 
 
 class CSRGrid:
-    """A grid snapshot of the unit square in CSR layout.
+    """A grid snapshot of one rectangular region in CSR layout.
 
-    Built in one vectorized pass over a ``(n, 2)`` position array:
+    ``nx x ny`` cells (``ny`` defaults to ``nx``) cover ``region =
+    (x0, y0, x1, y1)``, the unit square by default.  The indexed objects
+    are the ``member_idx`` rows of an ``(N, 2)`` position array (every
+    row when ``None``); their rows are the object IDs the grid reports,
+    so IDs stay row-stable while membership changes.
 
-    ``order``
-        stable argsort of the flat cell IDs ``j * nx + i``; combined with
-        ``object_ids`` it yields the permuted global-ID array (``ids``).
-    ``xs``, ``ys``
-        positions permuted by ``order`` — objects of one cell, and of one
-        row-run of cells, are contiguous.
+    ``ids``
+        int32 member rows grouped by flat cell ID ``j * nx + i``: cell
+        ``(i, j)`` owns ``ids[cell_start[j*nx+i] : cell_start[j*nx+i+1]]``,
+        and cells ``(ilo..ihi, j)`` form one contiguous run.
     ``cell_start``
-        ``(nx*ny + 1,)`` offsets; cell ``(i, j)`` owns the slice
-        ``[cell_start[j*nx+i], cell_start[j*nx+i+1])``.
+        ``(nx*ny + 1,)`` int32 offsets, the counting sort's ``indptr``.
     ``prefix``
-        ``(ny+1, nx+1)`` summed-area table of cell counts for O(1)
+        ``(ny+1, nx+1)`` int32 summed-area table of cell counts for O(1)
         rectangle population counts.
 
-    ``ncells`` cells per side (``nx = ny = ncells``, cell side ``delta``;
-    ``region``, ``dx`` and ``dy`` are the geometry :func:`batch_knn`
-    reads).  ``object_ids`` maps local row indices to global IDs so
-    downstream tie-breaking stays global.
+    Coordinates are not copied: the grid keeps a view of the position
+    array it was last built over and reads them through ``ids``, so the
+    caller must not rewrite that array before the next :meth:`update`
+    (:func:`~repro.engines.snapshot.make_snapshot` hands it a private
+    copy).
     """
-
-    __slots__ = (
-        "nx", "ny", "ncells", "region", "dx", "dy", "delta",
-        "n_objects", "xs", "ys", "ids", "cell_start", "prefix", "_inv",
-    )
 
     def __init__(
         self,
         positions: np.ndarray,
-        ncells: int,
+        nx: int,
+        ny: Optional[int] = None,
         *,
-        object_ids: Optional[np.ndarray] = None,
+        region: Tuple[float, float, float, float] = UNIT_REGION,
+        member_idx: Optional[np.ndarray] = None,
     ) -> None:
-        n = int(ncells)
-        if n < 1:
-            raise ConfigurationError(f"grid must have >= 1 cell per side, got {n}")
-        positions = np.asarray(positions, dtype=np.float64)
-        self.nx = self.ny = self.ncells = n
-        self.region = (0.0, 0.0, 1.0, 1.0)
-        self.dx = self.dy = self.delta = 1.0 / n
-        self.n_objects = len(positions)
-        x = np.ascontiguousarray(positions[:, 0])
-        y = np.ascontiguousarray(positions[:, 1])
-        flat = cell_index(y, 0.0, 1.0, n) * n + cell_index(x, 0.0, 1.0, n)
-        # Introsort beats the stable radix sort ~5x on these keys; the
-        # within-cell object order is irrelevant (ties are broken by ID at
-        # selection time), so stability is not needed.
-        order = np.argsort(flat)
-        self.ids = order if object_ids is None else np.asarray(object_ids)[order]
-        self.xs = x[order]
-        self.ys = y[order]
-        counts = np.bincount(flat, minlength=n * n)
-        cell_start = np.zeros(n * n + 1, dtype=np.intp)
-        np.cumsum(counts, out=cell_start[1:])
-        self.cell_start = cell_start
-        prefix = np.zeros((n + 1, n + 1), dtype=np.int64)
-        np.cumsum(np.cumsum(counts.reshape(n, n), axis=0), axis=1, out=prefix[1:, 1:])
-        self.prefix = prefix
-        self._inv: Optional[np.ndarray] = None  # lazy id -> row permutation
+        nx = int(nx)
+        ny = nx if ny is None else int(ny)
+        if nx < 1 or ny < 1:
+            raise ConfigurationError(
+                f"grid must have >= 1 cell per side, got {nx}x{ny}"
+            )
+        x0, y0, x1, y1 = (float(v) for v in region)
+        if not (x1 > x0 and y1 > y0):
+            raise ConfigurationError(f"degenerate region {region!r}")
+        self.nx = nx
+        self.ny = ny
+        self.region = (x0, y0, x1, y1)
+        self.dx = (x1 - x0) / nx
+        self.dy = (y1 - y0) / ny
+        n_cells = nx * ny
+        self.cell_start = np.zeros(n_cells + 1, dtype=np.int32)
+        self.prefix = np.zeros((ny + 1, nx + 1), dtype=np.int32)
+        self._row_counts = np.empty((ny, nx), dtype=np.int32)
+        # Counting-sort buffers, grown to the largest population seen.
+        self._ids = np.empty(0, dtype=np.int32)
+        self._ones = np.empty(0, dtype=np.int8)
+        self._data_out = np.empty(0, dtype=np.int8)
+        self._all_rows = np.empty(0, dtype=np.int32)
+        self.update(positions, member_idx)
 
+    # ------------------------------------------------------------------
+    # Build
+    # ------------------------------------------------------------------
+    def update(
+        self, positions: np.ndarray, member_idx: Optional[np.ndarray] = None
+    ) -> None:
+        """Rebuild the snapshot over ``positions`` in place.
+
+        Region and cell layout stay; ``member_idx`` (unique row ids, or
+        ``None`` for every row) may differ from the last build.
+        """
+        positions = np.asarray(positions, dtype=np.float64)
+        if positions.ndim != 2 or positions.shape[1] != 2:
+            raise ConfigurationError("positions must be an (N, 2) array")
+        if member_idx is None:
+            n = len(positions)
+            if len(self._all_rows) < n:
+                self._all_rows = np.arange(n, dtype=np.int32)
+            rows = self._all_rows[:n]
+            members = positions
+        else:
+            rows = np.ascontiguousarray(member_idx, dtype=np.int32)
+            members = positions[rows]
+        x0, y0, x1, y1 = self.region
+        flat = cell_index(members[:, 1], y0, y1, self.ny, np.int32)
+        flat *= self.nx
+        flat += cell_index(members[:, 0], x0, x1, self.nx, np.int32)
+        self.ids = self._group(flat, rows, len(positions))
+        self.n_objects = len(rows)
+        # cell_start is the row-major running count, so each grid row's
+        # horizontal prefix is one subtraction of the row's start; only
+        # the vertical accumulation remains.
+        nx = self.nx
+        np.subtract(
+            self.cell_start[1:].reshape(self.ny, nx),
+            self.cell_start[0 : self.ny * nx : nx, None],
+            out=self._row_counts,
+        )
+        np.cumsum(self._row_counts, axis=0, out=self.prefix[1:, 1:])
+        self._x = positions[:, 0]
+        self._y = positions[:, 1]
+
+    def _group(
+        self, flat: np.ndarray, rows: np.ndarray, n_rows: int
+    ) -> np.ndarray:
+        """``rows`` grouped by cell; fills :attr:`cell_start` in place.
+
+        SciPy's ``coo_tocsr`` is a two-pass C counting sort, more than
+        twice as fast as the int32 ``argsort`` fallback at a million
+        objects.
+        """
+        nnz = len(rows)
+        if len(self._ids) < nnz:
+            self._ids = np.empty(nnz, dtype=np.int32)
+            self._ones = np.ones(nnz, dtype=np.int8)
+            self._data_out = np.empty(nnz, dtype=np.int8)
+        out = self._ids[:nnz]
+        n_cells = len(self.cell_start) - 1
+        if _USE_SCIPY:
+            assert _scipy_sparsetools is not None
+            _scipy_sparsetools.coo_tocsr(
+                n_cells, n_rows, nnz, flat, rows, self._ones[:nnz],
+                self.cell_start, out, self._data_out[:nnz],
+            )
+        else:
+            out[:] = rows[np.argsort(flat)]
+            np.cumsum(
+                np.bincount(flat, minlength=n_cells), out=self.cell_start[1:]
+            )
+        return out
+
+    # ------------------------------------------------------------------
+    # Answering surface (batch_knn)
+    # ------------------------------------------------------------------
     def count_in_rects(
         self, ilo: np.ndarray, jlo: np.ndarray, ihi: np.ndarray, jhi: np.ndarray
     ) -> np.ndarray:
@@ -155,27 +272,34 @@ class CSRGrid:
     def pair_candidates(
         self, cand: np.ndarray, px: np.ndarray, py: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """``(ids, d2)`` of candidate CSR slots against per-pair query coords.
-
-        The one snapshot-layout-specific step of :func:`batch_knn`: a
-        :class:`CSRGrid` reads its permuted coordinate copies, while the
-        sharded engine's stripe grid (:mod:`repro.core.delta_index`)
-        resolves coordinates lazily through its slot->object indirection
-        and masks slack gaps.
-        """
-        pdx = self.xs[cand] - px
-        pdy = self.ys[cand] - py
-        return self.ids[cand], pdx * pdx + pdy * pdy
+        """``(ids, d2)`` of candidate slots against per-pair query coords."""
+        ids = self.ids[cand]
+        pdx = self._x[ids] - px
+        pdy = self._y[ids] - py
+        return ids, pdx * pdx + pdy * pdy
 
     # ------------------------------------------------------------------
     # SnapshotIndex protocol (repro.engines.snapshot) — scalar accessors
-    # used by the index-agnostic workload operators.  The batched fast
-    # path above never calls these.
+    # used by the index-agnostic workload operators over the square
+    # unit-region grid make_snapshot builds.  The batched fast path
+    # above never calls these.
     # ------------------------------------------------------------------
+    @property
+    def ncells(self) -> int:
+        """Cells per side of a square grid."""
+        return self.nx
+
+    @property
+    def delta(self) -> float:
+        """Cell side of a square grid."""
+        return self.dx
+
     def locate(self, x: float, y: float) -> Tuple[int, int]:
         """Cell ``(i, j)`` of a point (clamped to the grid)."""
-        n = self.ncells
-        return min(max(int(x * n), 0), n - 1), min(max(int(y * n), 0), n - 1)
+        x0, y0, x1, y1 = self.region
+        i = int((x - x0) * (self.nx / (x1 - x0)))
+        j = int((y - y0) * (self.ny / (y1 - y0)))
+        return min(max(i, 0), self.nx - 1), min(max(j, 0), self.ny - 1)
 
     def count_in_cells(self, ilo: int, jlo: int, ihi: int, jhi: int) -> int:
         """Number of objects inside the inclusive cell rectangle."""
@@ -203,19 +327,15 @@ class CSRGrid:
             hi = int(starts[base + ihi + 1])
             if lo == hi:
                 continue
-            out_ids.extend(self.ids[lo:hi].tolist())
-            out_xs.extend(self.xs[lo:hi].tolist())
-            out_ys.extend(self.ys[lo:hi].tolist())
+            ids = self.ids[lo:hi]
+            out_ids.extend(ids.tolist())
+            out_xs.extend(self._x[ids].tolist())
+            out_ys.extend(self._y[ids].tolist())
         return out_ids, out_xs, out_ys
 
     def position_of(self, object_id: int) -> Tuple[float, float]:
-        """Snapshot position of one object (by global ID)."""
-        if self._inv is None:
-            inv = np.empty(self.n_objects, dtype=np.intp)
-            inv[self.ids] = np.arange(self.n_objects, dtype=np.intp)
-            self._inv = inv
-        row = int(self._inv[object_id])
-        return float(self.xs[row]), float(self.ys[row])
+        """Snapshot position of one object (its row)."""
+        return float(self._x[object_id]), float(self._y[object_id])
 
 
 @dataclass
@@ -447,7 +567,7 @@ def batch_knn(
         # Scatter back to the caller's query order, padding the k_eff..k
         # tail (region population below k) with inf / -1 sentinels.
         top_d2 = np.full((nq, k), np.inf)
-        top_ids = np.full((nq, k), -1, dtype=sel_ids.dtype)
+        top_ids = np.full((nq, k), -1, dtype=np.intp)
         top_d2[qorder, :k_eff] = sel_d2
         top_ids[qorder, :k_eff] = sel_ids
 
@@ -472,7 +592,9 @@ class FastGridEngine(BaseEngine):
     Its stages run as spans on the tracer the pipeline binds
     (``maintain.csr_snapshot`` and ``answer.{radii,gather,select}``).
 
-    The engine rebuilds its CSR snapshot every cycle.  Its one piece of
+    The engine keeps one :class:`CSRGrid` and rebuilds it in place every
+    cycle (a fresh grid after :meth:`load` or when the population moves
+    the cell count).  Its one piece of
     cross-cycle state is the object rows of its last answer: at the next
     answer the farthest *current* position of a query's previous k
     neighbours bounds its new k-th distance (the paper's §3.2 incremental
@@ -485,9 +607,8 @@ class FastGridEngine(BaseEngine):
 
     Churn support: query deltas swap the array and remap the previous
     answer rows; object deltas record the live subset — in member mode
-    the snapshot is built over ``positions[member_idx]`` with the member
-    rows as global object IDs, so reported neighbor IDs stay row-stable
-    across joins and leaves.
+    the grid indexes the ``member_idx`` rows and reports rows as object
+    IDs, so neighbor IDs stay row-stable across joins and leaves.
     """
 
     supports_member_idx = True
@@ -545,22 +666,20 @@ class FastGridEngine(BaseEngine):
 
     def load(self, positions: np.ndarray) -> None:
         self._prev_rows = None
+        self.csr = None
         self.maintain(positions)
 
     def maintain(self, positions: np.ndarray) -> None:
         with self.tracer.span("csr_snapshot"):
             positions = np.asarray(positions, dtype=np.float64)
             member = self._member_idx
-            if member is None:
-                self.csr = CSRGrid(
-                    positions, self._resolve_ncells(len(positions))
-                )
+            ncells = self._resolve_ncells(
+                len(positions) if member is None else len(member)
+            )
+            if self.csr is None or self.csr.nx != ncells:
+                self.csr = CSRGrid(positions, ncells, member_idx=member)
             else:
-                self.csr = CSRGrid(
-                    positions[member],
-                    self._resolve_ncells(len(member)),
-                    object_ids=member,
-                )
+                self.csr.update(positions, member)
             self._positions = positions
 
     # ------------------------------------------------------------------

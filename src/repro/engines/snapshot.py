@@ -77,6 +77,9 @@ def make_snapshot(positions: np.ndarray, backend: str = "object_index") -> Snaps
     ``backend`` picks the implementation: ``"object_index"`` (the
     paper-faithful Grid2D bucket index) or ``"csr"`` (the vectorized CSR
     layout).  Both use the paper's optimal cell size for the population.
+    Either snapshot stays valid when the caller later rewrites
+    ``positions``: the CSR grid reads coordinates through a view of the
+    array it was built over, so it gets a private copy.
     """
     positions = np.asarray(positions, dtype=np.float64)
     if backend == "object_index":
@@ -88,7 +91,9 @@ def make_snapshot(positions: np.ndarray, backend: str = "object_index") -> Snaps
     if backend == "csr":
         from ..core.fast_index import CSRGrid
 
-        return CSRGrid(positions, resolve_grid_size(n_objects=max(1, len(positions))))
+        return CSRGrid(
+            positions.copy(), resolve_grid_size(n_objects=max(1, len(positions)))
+        )
     raise ConfigurationError(
         f"unknown snapshot backend {backend!r}; known: {', '.join(SNAPSHOT_BACKENDS)}"
     )

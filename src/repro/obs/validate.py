@@ -245,7 +245,7 @@ def run_sharded_validation(
       gauges sum to exactly ``NP`` — no object is dropped or counted in
       two stripes;
     * maintenance accounting closes: every maintained (stripe, cycle)
-      is exactly one of fresh build, delta patch, or delta rebuild;
+      is exactly one of a fresh grid build or an in-place grid update;
     * the answering kernel's candidates per query are within
       ``tolerance_factor`` of the §3.1 cost-model prediction evaluated
       at the stripe grids' ~1-object-per-cell resolution
@@ -324,8 +324,7 @@ def run_sharded_validation(
     accounting_gap = abs(
         pool_counters.get("shard.task.maintained", 0.0)
         - pool_counters.get("shard.task.fresh_builds", 0.0)
-        - pool_counters.get("delta.patch_cycles", 0.0)
-        - pool_counters.get("delta.rebuild_cycles", 0.0)
+        - pool_counters.get("shard.task.updates", 0.0)
     )
     predicted = predict_overhaul_counters(
         n_objects, k, delta=1.0 / math.sqrt(n_objects)

@@ -55,7 +55,7 @@ from ..core.monitor import MonitoringSystem
 from ..engines.registry import build_system
 from ..errors import ConfigurationError, NotEnoughObjectsError, OutOfRegionError
 from ..obs.registry import MetricsRegistry
-from ..state import QueryDelta, WorldStore
+from ..state import OBJECT_REGION, QueryDelta, WorldStore, check_object_points
 
 
 @dataclass(frozen=True)
@@ -102,10 +102,6 @@ class SessionAnswer:
     neighbors: Tuple[Tuple[int, float], ...] = field(default=())
 
 
-#: Where object points must lie.  The square is closed: a point at exactly
-#: 1.0 sits on the closed edge of the last grid cell, so the ring-growth
-#: bound of the grid engines still holds for it.
-OBJECT_REGION = "the closed unit square [0, 1]^2"
 #: Query points need only be finite: the grid engines clamp queries outside
 #: the square into edge cells, which only enlarges their candidate sets.
 QUERY_REGION = "the plane (coordinates must be finite)"
@@ -131,15 +127,6 @@ def _query_point(point) -> Tuple[float, float]:
     if not (math.isfinite(x) and math.isfinite(y)):
         raise OutOfRegionError(x, y, QUERY_REGION)
     return x, y
-
-
-def _check_object_points(points: np.ndarray) -> None:
-    """One ``min``/``max`` pass over a bulk update (NaN fails it too)."""
-    if len(points) == 0 or (points.min() >= 0.0 and points.max() <= 1.0):
-        return
-    inside = ((points >= 0.0) & (points <= 1.0)).all(axis=1)
-    x, y = points[np.flatnonzero(~inside)[0]]
-    raise OutOfRegionError(float(x), float(y), OBJECT_REGION)
 
 
 class MonitoringSession:
@@ -440,7 +427,7 @@ class MonitoringSession:
         points = np.asarray(points, dtype=np.float64)
         if points.ndim != 2 or points.shape[1] != 2:
             raise ConfigurationError("points must be an (N, 2) array")
-        _check_object_points(points)
+        check_object_points(points)
         if object_ids is None:
             n_live = self._store.n_live
             if len(points) != n_live:

@@ -1,10 +1,9 @@
 """Sharded parallel execution layer for the monitoring cycle.
 
 Partition–index–merge over vertical stripes of the unit square: one
-incrementally maintained delta-CSR snapshot per stripe
-(:class:`~repro.core.delta_index.DeltaCSRGrid`, kept up to date from a
-shared-memory copy of the cycle's positions by a persistent worker
-pool), seeded query routing
+CSR snapshot per stripe (:class:`~repro.core.fast_index.CSRGrid`,
+rebuilt every cycle from a shared-memory copy of the cycle's positions
+by a persistent worker pool), seeded query routing
 with exact escalation, and a global merge that preserves the (distance,
 object ID) tie-break.  ``workers=0`` runs the identical shard tasks
 in-process.  See DESIGN.md §9.

@@ -63,7 +63,8 @@ class ShardedGridEngine(BaseEngine):
     row-stable universe whose live subset arrives via
     ``ObjectDelta.member_idx`` — vacant rows carry the ``(-1, -1)``
     sentinel and workers filter them before the stripe ownership test, so
-    joins and leaves reach each stripe's delta grid as ordinary movers.
+    joins and leaves reach each stripe grid as the member rows of its next
+    rebuild.
     Query deltas remap the per-query routing seeds (``_prev_kth``)
     through ``QueryDelta.kept``: surviving queries keep their seeded
     interval, registered ones route to their home stripe and escalate —
@@ -138,10 +139,6 @@ class ShardedGridEngine(BaseEngine):
         self._prev_kth: Optional[np.ndarray] = None
         self._prev_cycle = -2
         self._member_idx: Optional[np.ndarray] = None
-        #: Bumped whenever the caller remaps object rows (session
-        #: compaction); shipped with every task so stripe caches keyed by
-        #: the old row ids self-invalidate.
-        self._epoch = 0
         self._last_imbalance = 1.0
         self.rebalances = 0
 
@@ -188,13 +185,10 @@ class ShardedGridEngine(BaseEngine):
 
         Membership reaches the workers through their own recomputed
         stripe masks, so nothing structural happens here.  A compaction
-        remaps rows: the routing seeds stay valid (distances are
-        row-independent) but every stripe grid's row-keyed cell state is
-        stale, so the epoch tag is bumped to force fresh stripe builds.
+        remaps rows, but the routing seeds stay valid (distances are
+        row-independent) and every stripe grid is rebuilt next cycle.
         """
         self._member_idx = delta.member_idx
-        if delta.compacted:
-            self._epoch += 1
 
     def _refresh_query_gauges(self) -> None:
         """Per-stripe query-count gauges from the current home stripes."""
@@ -297,9 +291,9 @@ class ShardedGridEngine(BaseEngine):
             key = (world.token, world.epoch) if world.versioned else None
             with self.tracer.span("shm_write"):
                 self._shm_name, _ = pool.write_snapshot(positions, key=key)
-        # Serial mode: the stripe cache deliberately survives the cycle —
-        # the per-stripe delta grids update themselves incrementally in
-        # run_shard_task when the new cycle's first task arrives.
+        # Serial mode: the stripe cache survives the cycle — each stripe
+        # grid is rebuilt in place (reusing its buffers) by the new
+        # cycle's first task in run_shard_task.
 
     def answer(self) -> List[AnswerList]:
         if self._positions is None:
@@ -522,7 +516,6 @@ class ShardedGridEngine(BaseEngine):
                 "qx": qx[qidx],
                 "qy": qy[qidx],
                 "obs": obs,
-                "epoch": self._epoch,
                 "churn": self._member_idx is not None,
                 "bounds": bounds,
             }

@@ -1,26 +1,26 @@
-"""Shard tasks: maintain one stripe's delta-CSR snapshot, answer queries.
+"""Shard tasks: rebuild one stripe's CSR snapshot, answer queries.
 
 One *cycle task* asks a worker to (a) select the objects of one stripe
-out of the shared-memory snapshot, (b) bring a region-aware
-:class:`~repro.core.delta_index.DeltaCSRGrid` over the stripe up to
-date, and (c) run :func:`~repro.core.fast_index.batch_knn` for the
-queries routed to it.  The worker's cache keeps one *persistent* grid
-per stripe across cycles: a new cycle incrementally updates it
-(``grid.update(positions, member_idx=sel)`` — objects entering or
-leaving the stripe are ordinary movers to the delta index), and
-escalation rounds of the same cycle reuse it as-is, so the snapshot is
-indexed at most once per shard per cycle no matter how many query
-batches arrive.
+out of the shared-memory snapshot, (b) rebuild a region-aware
+:class:`~repro.core.fast_index.CSRGrid` over the stripe, and (c) run
+:func:`~repro.core.fast_index.batch_knn` for the queries routed to it.
+The worker's cache keeps one grid per stripe, tagged with the cycle it
+was built for: the first task of a new cycle rebuilds it in place
+(``grid.update(positions, sel)``, reusing its buffers), and escalation
+rounds of the same cycle reuse it as-is, so the snapshot is indexed at
+most once per shard per cycle no matter how many query batches arrive.
+A grid rebuilt every cycle holds no row-keyed state across cycles, so
+object-row remaps (session compactions) need no invalidation.
 
 The snapshot arrives as a view over a shared-memory buffer that the
-parent rewrites in place between cycles; mover detection stays exact
-because it diffs against the grid's own stored cell assignments, not
-against an older position buffer.
+parent rewrites in place between cycles; the grid reads coordinates
+through that view, which holds the current cycle's positions whenever
+a task runs.
 
 Tasks carry everything they need (shard id, shard count, k, query
 coordinates) so a re-dispatched task after a worker crash is exactly the
-original payload sent to a fresh process — a fresh process just pays one
-full rebuild before returning the same answers.
+original payload sent to a fresh process — a fresh process just builds
+its stripe grids anew before returning the same answers.
 
 **Telemetry.**  The build and answer stages run under
 :class:`~repro.obs.tracing.Tracer` spans supplied by a
@@ -29,11 +29,12 @@ what the reply reports as ``build_seconds``/``answer_seconds`` (the
 engine's timing attribution), so the stage times and the shipped
 ``span.shard_build.*``/``span.shard_answer.*`` counters can never
 disagree.  When the task carries ``obs=True`` the telemetry also records
-the stripe's delta-maintenance regime (``delta.*``), the answering
-kernel's work counters (``fast.answer.*``) and per-task population
-tallies (``shard.task.*``), and the reply piggybacks the per-task
-counter deltas plus the task wall time — no extra syscalls or messages,
-and nothing at all when instrumentation is off.
+how each stripe grid was brought up to date (``shard.task.updates`` in
+place, ``shard.task.fresh_builds`` new), the answering kernel's work
+counters (``fast.answer.*``) and per-task population tallies
+(``shard.task.*``), and the reply piggybacks the per-task counter deltas
+plus the task wall time — no extra syscalls or messages, and nothing at
+all when instrumentation is off.
 
 The same :func:`run_shard_task` powers the ``workers=0`` serial
 fallback: the engine calls it in-process with its own cache dict and
@@ -48,18 +49,14 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from ..core.delta_index import DeltaCSRGrid
-from ..core.fast_index import batch_knn
+from ..core.fast_index import CSRGrid, batch_knn
 from ..obs.remote import ANSWER_SPAN, BUILD_SPAN, WorkerTelemetry
 from .partition import StripePartition, shard_grid_shape
 
-#: Worker-side stripe-grid cache type: ``shard -> (cycle, epoch, grid)``.
-#: The grid persists across cycles (that is the point — it updates itself
-#: incrementally); the cycle tag tells an escalation round of the same
-#: cycle that no maintenance is needed, and the epoch tag invalidates the
-#: grid outright when the parent remapped object rows (session
-#: compaction) — row-keyed cell state would silently alias otherwise.
-CSRCache = Dict[int, Tuple[int, int, DeltaCSRGrid]]
+#: Worker-side stripe-grid cache type: ``shard -> (cycle, grid)``.  The
+#: cycle tag tells an escalation round of the same cycle that the grid is
+#: current; a new cycle rebuilds the cached grid in place.
+CSRCache = Dict[int, Tuple[int, CSRGrid]]
 
 
 def _stripe_members(
@@ -88,19 +85,17 @@ def run_shard_task(
 
     ``task`` fields: ``shard``, ``n_shards``, ``cycle``, ``k``, ``qx``,
     ``qy`` (routed query coordinates); optional ``obs`` (ship telemetry),
-    ``bounds`` (custom stripe edges after a rebalance), ``epoch``
-    (object-row remap generation) and ``churn`` (snapshot is a row
-    universe with ``(-1, -1)`` sentinel rows to skip).  Returns the
-    per-query top-k blocks (``inf``/``-1`` padded when the stripe holds
-    fewer than ``k`` objects) plus build/answer stage timings and — when
-    ``obs`` is set — the task's counter deltas and wall time for the
-    parent-side labeled merge.
+    ``bounds`` (custom stripe edges after a rebalance) and ``churn``
+    (snapshot is a row universe with ``(-1, -1)`` sentinel rows to
+    skip).  Returns the per-query top-k blocks (``inf``/``-1`` padded
+    when the stripe holds fewer than ``k`` objects) plus build/answer
+    stage timings and — when ``obs`` is set — the task's counter deltas
+    and wall time for the parent-side labeled merge.
     """
     shard = int(task["shard"])
     n_shards = int(task["n_shards"])
     cycle = int(task["cycle"])
     k = int(task["k"])
-    epoch = int(task.get("epoch", 0))
     churn = bool(task.get("churn"))
     qx = task["qx"]
 
@@ -112,44 +107,33 @@ def run_shard_task(
 
     with tracer.span(BUILD_SPAN) as build_span:
         entry = cache.get(shard) if cache is not None else None
-        if entry is not None and entry[1] != epoch:
-            entry = None  # object rows were remapped; cached cells lie
         maintained = False
         if entry is not None and entry[0] == cycle:
-            csr = entry[2]  # escalation round: snapshot already current
+            csr = entry[1]  # escalation round: snapshot already current
         else:
             maintained = True
             partition = StripePartition(n_shards, task.get("bounds"))
             region = partition.region(shard)
             sel = _stripe_members(positions, partition, shard, churn)
             nx, ny = shard_grid_shape(len(sel), n_shards)
+            grid = None if entry is None else entry[1]
             if (
-                entry is not None
-                and entry[2].nx == nx
-                and entry[2].ny == ny
-                and entry[2].region == region
+                grid is not None
+                and grid.nx == nx
+                and grid.ny == ny
+                and grid.region == region
             ):
-                csr = entry[2]
-                csr.update(positions, member_idx=sel)
-                if obs:
-                    stats = csr.last_stats
-                    telemetry.inc("delta.movers", stats.movers)
-                    telemetry.inc(
-                        "delta.patch_cycles" if stats.mode == "patch"
-                        else "delta.rebuild_cycles"
-                    )
-                    if stats.compacted:
-                        telemetry.inc("delta.compactions")
+                csr = grid
+                csr.update(positions, sel)
+                telemetry.inc("shard.task.updates")
             else:
                 # First cycle, respawned worker, a rebalanced stripe
                 # boundary, or the stripe population shifted enough to
                 # change the grid resolution.
-                csr = DeltaCSRGrid(
-                    positions, region=region, nx=nx, ny=ny, member_idx=sel
-                )
+                csr = CSRGrid(positions, nx, ny, region=region, member_idx=sel)
                 telemetry.inc("shard.task.fresh_builds")
             if cache is not None:
-                cache[shard] = (cycle, epoch, csr)
+                cache[shard] = (cycle, csr)
 
     with tracer.span(ANSWER_SPAN) as answer_span:
         result = batch_knn(csr, qx, task["qy"], k)

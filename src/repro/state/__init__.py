@@ -7,19 +7,23 @@ See DESIGN.md §11 for the ownership diagram and epoch lifecycle.
 """
 
 from .snapshot import (
+    OBJECT_REGION,
     ObjectDelta,
     PositionsLike,
     QueryDelta,
     WorldSnapshot,
     as_world_snapshot,
+    check_object_points,
 )
 from .store import WorldStore
 
 __all__ = [
+    "OBJECT_REGION",
     "ObjectDelta",
     "PositionsLike",
     "QueryDelta",
     "WorldSnapshot",
     "WorldStore",
     "as_world_snapshot",
+    "check_object_points",
 ]

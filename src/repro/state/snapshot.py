@@ -11,10 +11,11 @@ epoch, which is what makes sharing safe.
 Snapshots are array-likes: ``np.asarray(snapshot, dtype=np.float64)``
 returns the read-only positions view without copying, so engine code
 written against plain ``(N, 2)`` arrays keeps working unchanged.  A raw
-ndarray entering the pipeline is wrapped by :func:`as_world_snapshot`
-into an *anonymous* snapshot (``epoch is None``): correctness-neutral,
-but epoch-keyed fast paths (the sharded engine's shared-memory reuse)
-stay off because nothing vouches for the array's stability.
+ndarray entering the pipeline is checked against the object region and
+wrapped by :func:`as_world_snapshot` into an *anonymous* snapshot
+(``epoch is None``): correctness-neutral, but epoch-keyed fast paths
+(the sharded engine's shared-memory reuse) stay off because nothing
+vouches for the array's stability.
 
 The churn delta records (:class:`QueryDelta` / :class:`ObjectDelta`)
 live here too — they are state-plane records produced by the store and
@@ -30,15 +31,35 @@ from typing import Optional, Tuple, Union
 
 import numpy as np
 
-from ..errors import ConfigurationError
+from ..errors import ConfigurationError, OutOfRegionError
 
 __all__ = [
+    "OBJECT_REGION",
     "ObjectDelta",
     "PositionsLike",
     "QueryDelta",
     "WorldSnapshot",
     "as_world_snapshot",
+    "check_object_points",
 ]
+
+#: Where object points must lie.  The square is closed: a point at exactly
+#: 1.0 sits on the closed edge of the last grid cell, so the ring-growth
+#: bound of the grid engines still holds for it.
+OBJECT_REGION = "the closed unit square [0, 1]^2"
+
+
+def check_object_points(points: np.ndarray) -> None:
+    """Raise :class:`~repro.errors.OutOfRegionError` unless every point
+    lies in :data:`OBJECT_REGION`.
+
+    One ``min``/``max`` pass over the array; NaN fails it too.
+    """
+    if len(points) == 0 or (points.min() >= 0.0 and points.max() <= 1.0):
+        return
+    inside = ((points >= 0.0) & (points <= 1.0)).all(axis=1)
+    x, y = points[np.flatnonzero(~inside)[0]]
+    raise OutOfRegionError(float(x), float(y), OBJECT_REGION)
 
 
 @dataclass(frozen=True)
@@ -143,11 +164,16 @@ def as_world_snapshot(positions: PositionsLike) -> WorldSnapshot:
     Raw arrays are wrapped as *anonymous* snapshots: the positions
     become a read-only view (the caller's array object is not frozen —
     only the view handed to engines is), ``epoch`` stays ``None``, and
-    no content-stability fast path applies.
+    no content-stability fast path applies.  A raw array must hold only
+    points of :data:`OBJECT_REGION` (:func:`check_object_points`), so an
+    out-of-region or NaN row raises before any engine runs.  Published
+    snapshots skip that check: the session checked every point on its
+    way into the store, and vacant rows carry the ``(-1, -1)`` sentinel.
     """
     if isinstance(positions, WorldSnapshot):
         return positions
     arr = np.asarray(positions, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise ConfigurationError("positions must be an (N, 2) array")
+    check_object_points(arr)
     return WorldSnapshot(positions=_frozen_view(arr))

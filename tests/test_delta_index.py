@@ -1,17 +1,20 @@
-"""Delta-CSR stripe grid: both maintenance regimes exact against brute force."""
+"""The CSR grid as the sharded engine keeps it: updated every cycle.
+
+Each stripe task holds one :class:`~repro.core.fast_index.CSRGrid` per
+stripe and rebuilds it in place on every cycle, over a member subset of
+a position array that the parent rewrites in place.  These walks check
+that grid against brute force.
+"""
 
 import numpy as np
 import pytest
 
 from repro import build_system
-from repro.core import delta_index
+from repro.core import fast_index
 from repro.core.brute import brute_force_knn
-from repro.core.delta_index import DeltaCSRGrid
-from repro.core.fast_index import batch_knn
+from repro.core.fast_index import CSRGrid, batch_knn
 from repro.errors import ConfigurationError
 from repro.motion.random_walk import RandomWalkModel
-
-UNIT = (0.0, 0.0, 1.0, 1.0)
 
 
 def canonical(query_answers, places=12):
@@ -44,10 +47,7 @@ def brute_rows(positions, queries, k, places=12):
 
 def unit_grid(positions, ncells):
     """A grid over the unit square holding every row of ``positions``."""
-    return DeltaCSRGrid(
-        positions, region=UNIT, nx=ncells, ny=ncells,
-        member_idx=np.arange(len(positions)),
-    )
+    return CSRGrid(positions, ncells, member_idx=np.arange(len(positions)))
 
 
 def sitter_dataset(rng, n, ncells):
@@ -65,11 +65,10 @@ def sitter_dataset(rng, n, ncells):
 
 
 class TestEquivalence:
-    """DeltaCSRGrid + batch_knn == fast_grid == brute_force, 50+ cycles.
+    """CSRGrid updated every cycle + batch_knn == fast_grid == brute_force.
 
-    The walk covers both maintenance regimes: 25 cycles of fast
-    reflecting-boundary motion (every object moves -> rebuild regime),
-    then 25 cycles where only ~1% of objects move (patch regime).  The
+    The 50-cycle walk has 25 cycles of fast reflecting-boundary motion
+    (every object moves) and 25 where only ~1% of objects move.  The
     query set is swapped mid-run.
     """
 
@@ -115,15 +114,15 @@ class TestEquivalence:
         return trace
 
     def _grid_walk(self, snapshots, queries, ncells=10):
-        """Answers and update modes of one grid kept up to date over the walk."""
+        """Answers of one grid updated in place over the walk."""
         grid = unit_grid(snapshots[0], ncells)
-        trace, modes = [], []
+        trace = []
         for cycle, positions in enumerate(snapshots):
             if cycle:
-                modes.append(grid.update(positions, np.arange(len(positions))).mode)
+                grid.update(positions, np.arange(len(positions)))
             q = queries[0] if cycle < self.SWAP_AT else queries[1]
             trace.append(canonical_rows(batch_knn(grid, q[:, 0], q[:, 1], self.K)))
-        return trace, modes
+        return trace
 
     @pytest.fixture(scope="class")
     def reference(self, snapshots, queries):
@@ -137,101 +136,45 @@ class TestEquivalence:
         )
         assert trace == reference
 
-    def test_stripe_grid_matches_and_covers_both_regimes(
-        self, reference, snapshots, queries
-    ):
-        trace, modes = self._grid_walk(snapshots, queries)
-        assert trace == reference
-        # The walk must actually exercise what it claims to exercise.
-        assert {"patch", "rebuild"} <= set(modes)
-
     @pytest.mark.parametrize(
-        "threshold,ncells,want_modes",
+        "ncells",
         [
-            pytest.param(1.0, 10, {"patch", "rebuild"}, id="patch-forced"),
-            pytest.param(0.0, 10, {"rebuild"}, id="rebuild-forced"),
-            pytest.param(0.3, 5, {"patch", "rebuild"}, id="coarse-grid"),
-            pytest.param(0.3, 31, {"patch", "rebuild"}, id="fine-grid"),
+            pytest.param(5, id="coarse-grid"),
+            pytest.param(10, id="default-grid"),
+            pytest.param(31, id="fine-grid"),
         ],
     )
-    def test_grid_variants_match(
-        self, reference, snapshots, queries, monkeypatch, threshold, ncells, want_modes
-    ):
-        monkeypatch.setattr(delta_index, "_PATCH_THRESHOLD", threshold)
-        trace, modes = self._grid_walk(snapshots, queries, ncells)
-        assert trace == reference
-        assert set(modes) == want_modes
+    def test_grid_variants_match(self, reference, snapshots, queries, ncells):
+        assert self._grid_walk(snapshots, queries, ncells) == reference
 
     def test_argsort_fallback_matches(
         self, reference, snapshots, queries, monkeypatch
     ):
-        # CI has no scipy; locally, force the fallback grouping path so
-        # both grouping implementations face the full walk.
-        monkeypatch.setattr(delta_index, "_USE_SCIPY", False)
-        trace, _ = self._grid_walk(snapshots, queries)
-        assert trace == reference
-
-
-class TestCompaction:
-    def test_overflowing_slack_compacts_and_stays_exact(self, monkeypatch):
-        monkeypatch.setattr(delta_index, "_SLACK", 0.01)
-        monkeypatch.setattr(delta_index, "_PATCH_THRESHOLD", 1.0)
-        rng = np.random.default_rng(5)
-        positions = rng.random((500, 2))
-        queries = rng.random((12, 2))
-        grid = unit_grid(positions, 11)
-        compacted = 0
-        walk = RandomWalkModel(vmax=0.02, boundary="reflect", seed=6)
-        for positions in walk.run(positions, 30):
-            compacted += grid.update(positions, np.arange(500)).compacted
-            got = batch_knn(grid, queries[:, 0], queries[:, 1], 4)
-            assert canonical_rows(got) == brute_rows(positions, queries, 4)
-        assert compacted > 0
-
-
-class TestPatch:
-    def test_knife_edge_mover_into_rect_border_is_detected(self):
-        # A cluster far from the query fixes a large k-th distance; one
-        # object teleporting right next to the query must evict a
-        # neighbor although the patch touches only two cells.
-        queries = np.array([[0.05, 0.05]])
-        positions = np.vstack([
-            np.column_stack([
-                np.linspace(0.3, 0.4, 6), np.full(6, 0.05)
-            ]),
-            np.random.default_rng(3).random((500, 2)) * 0.2 + [0.7, 0.7],
-        ])
-        members = np.arange(len(positions))
-        grid = unit_grid(positions, 11)
-        grid.update(positions, members)  # lays out the slack
-        moved = positions.copy()
-        moved[-1] = [0.051, 0.05]   # lands inside the critical rectangle
-        stats = grid.update(moved, members)
-        assert stats.mode == "patch" and stats.movers == 1
-        got = batch_knn(grid, queries[:, 0], queries[:, 1], 3)
-        assert canonical_rows(got) == brute_rows(moved, queries, 3)
-        assert got.top_ids[0, 0] == len(moved) - 1
+        # Force the fallback grouping path so both grouping
+        # implementations face the full walk wherever scipy is installed.
+        monkeypatch.setattr(fast_index, "_USE_SCIPY", False)
+        assert self._grid_walk(snapshots, queries) == reference
 
 
 class TestGridInternals:
     def test_membership_churn_matches_fresh_grid(self):
         # Simulates the sharded stripes: the member set changes between
-        # updates, and the patched grid must answer exactly like a grid
+        # updates, and the updated grid must answer exactly like a grid
         # built from scratch over the new members.
         rng = np.random.default_rng(11)
         n = 3000
         positions = rng.random((n, 2))
-        stripe = dict(region=(0.0, 0.0, 0.5, 1.0), nx=8, ny=16)
+        stripe = dict(region=(0.0, 0.0, 0.5, 1.0))
         members = np.flatnonzero(positions[:, 0] < 0.5)
-        grid = DeltaCSRGrid(positions, member_idx=members, **stripe)
+        grid = CSRGrid(positions, 8, 16, member_idx=members, **stripe)
         for _ in range(10):
             positions = positions.copy()
             movers = rng.choice(n, 200, replace=False)
             positions[movers] = rng.random((200, 2))
             members = np.flatnonzero(positions[:, 0] < 0.5)
-            grid.update(positions, member_idx=members)
+            grid.update(positions, members)
             assert grid.n_objects == len(members)
-            fresh = DeltaCSRGrid(positions, member_idx=members, **stripe)
+            fresh = CSRGrid(positions, 8, 16, member_idx=members, **stripe)
             qx = rng.random(10) * 0.5
             qy = rng.random(10)
             got = batch_knn(grid, qx, qy, 4)
@@ -241,14 +184,13 @@ class TestGridInternals:
 
     def test_in_place_mutation_stays_exact(self):
         # The stripe tasks' snapshot is a shared-memory buffer that the
-        # parent rewrites in place: movers come from the stored cells,
-        # not from the previous array.
+        # parent rewrites in place before each update.
         rng = np.random.default_rng(13)
         positions = rng.random((1000, 2))
         grid = unit_grid(positions, 10)
         for _ in range(3):
             positions[rng.choice(1000, 10, replace=False)] = rng.random((10, 2))
-            assert grid.update(positions, np.arange(1000)).movers <= 10
+            grid.update(positions, np.arange(1000))
             queries = rng.random((8, 2))
             got = batch_knn(grid, queries[:, 0], queries[:, 1], 5)
             assert canonical_rows(got) == brute_rows(positions, queries, 5)
@@ -256,9 +198,12 @@ class TestGridInternals:
     def test_population_resize_rebuilds(self):
         rng = np.random.default_rng(17)
         grid = unit_grid(rng.random((100, 2)), 4)
-        stats = grid.update(rng.random((250, 2)), np.arange(250))
-        assert stats.mode == "rebuild"
+        positions = rng.random((250, 2))
+        grid.update(positions, np.arange(250))
         assert grid.n_objects == 250
+        queries = rng.random((6, 2))
+        got = batch_knn(grid, queries[:, 0], queries[:, 1], 7)
+        assert canonical_rows(got) == brute_rows(positions, queries, 7)
 
 
 class TestContracts:
@@ -277,12 +222,9 @@ class TestContracts:
 
     def test_rejects_bad_options(self):
         positions = np.random.default_rng(0).random((4, 2))
-        members = np.arange(4)
         with pytest.raises(ConfigurationError):
-            DeltaCSRGrid(np.zeros((4, 3)), region=UNIT, nx=4, ny=4, member_idx=members)
+            CSRGrid(np.zeros((4, 3)), 4)
         with pytest.raises(ConfigurationError):
-            DeltaCSRGrid(positions, region=UNIT, nx=0, ny=4, member_idx=members)
+            CSRGrid(positions, 0, 4)
         with pytest.raises(ConfigurationError):
-            DeltaCSRGrid(
-                positions, region=(0.5, 0.0, 0.5, 1.0), nx=4, ny=4, member_idx=members
-            )
+            CSRGrid(positions, 4, region=(0.5, 0.0, 0.5, 1.0))

@@ -41,55 +41,103 @@ def fast_answers(positions, queries, k, **kwargs):
     return engine.answer()
 
 
+def cells_of(csr, positions):
+    """``(i, j)`` cells of ``positions`` rows by the grid's own geometry."""
+    x0, y0, x1, y1 = csr.region
+    ii = ((positions[:, 0] - x0) * (csr.nx / (x1 - x0))).astype(int)
+    jj = ((positions[:, 1] - y0) * (csr.ny / (y1 - y0))).astype(int)
+    return np.clip(ii, 0, csr.nx - 1), np.clip(jj, 0, csr.ny - 1)
+
+
+def assert_layout(csr, positions, members):
+    """Every member sits once, in its own cell's slice, read through ``ids``."""
+    nx, ny = csr.nx, csr.ny
+    assert csr.cell_start[0] == 0
+    assert csr.cell_start[-1] == len(members) == csr.n_objects
+    assert sorted(csr.ids.tolist()) == sorted(members.tolist())
+    for flat in range(nx * ny):
+        lo, hi = csr.cell_start[flat], csr.cell_start[flat + 1]
+        ii, jj = cells_of(csr, positions[csr.ids[lo:hi]])
+        assert (ii == flat % nx).all() and (jj == flat // nx).all()
+
+
+def assert_prefix_counts(csr, positions, members, rng):
+    """Summed-area counts equal direct counts over random rectangles."""
+    ii, jj = cells_of(csr, positions[members])
+    for _ in range(25):
+        ilo, ihi = sorted(rng.integers(0, csr.nx, 2))
+        jlo, jhi = sorted(rng.integers(0, csr.ny, 2))
+        want = int(np.sum((ii >= ilo) & (ii <= ihi) & (jj >= jlo) & (jj <= jhi)))
+        got = csr.count_in_rects(
+            np.array([ilo]), np.array([jlo]), np.array([ihi]), np.array([jhi])
+        )
+        assert int(got[0]) == want
+        assert csr.count_in_cells(ilo, jlo, ihi, jhi) == want
+
+
 class TestCSRGrid:
     def test_layout_invariants(self):
-        rng = np.random.default_rng(3)
-        positions = rng.random((500, 2))
-        csr = CSRGrid(positions, ncells=7)
-        n = csr.ncells
-        assert csr.cell_start[0] == 0
-        assert csr.cell_start[-1] == len(positions)
-        # Every object sits in the slice of its own cell.
-        for flat in range(n * n):
-            lo, hi = csr.cell_start[flat], csr.cell_start[flat + 1]
-            i, j = flat % n, flat // n
-            for pos in range(lo, hi):
-                assert int(csr.xs[pos] * n) == i
-                assert int(csr.ys[pos] * n) == j
-        # The permutation covers every object exactly once.
-        assert sorted(csr.ids.tolist()) == list(range(len(positions)))
+        positions = np.random.default_rng(3).random((500, 2))
+        csr = CSRGrid(positions, 7)
+        assert_layout(csr, positions, np.arange(500))
 
     def test_prefix_counts_match_direct_counts(self):
         rng = np.random.default_rng(4)
         positions = rng.random((300, 2))
-        csr = CSRGrid(positions, ncells=5)
-        n = csr.ncells
-        ii = np.clip((positions[:, 0] * n).astype(int), 0, n - 1)
-        jj = np.clip((positions[:, 1] * n).astype(int), 0, n - 1)
-        for _ in range(25):
-            ilo, ihi = sorted(rng.integers(0, n, 2))
-            jlo, jhi = sorted(rng.integers(0, n, 2))
-            want = int(
-                np.sum((ii >= ilo) & (ii <= ihi) & (jj >= jlo) & (jj <= jhi))
-            )
-            got = csr.count_in_rects(
-                np.array([ilo]), np.array([jlo]), np.array([ihi]), np.array([jhi])
-            )
-            assert int(got[0]) == want
+        csr = CSRGrid(positions, 5)
+        assert_prefix_counts(csr, positions, np.arange(300), rng)
 
     def test_row_runs_are_contiguous(self):
         """Cells (ilo..ihi, j) form one contiguous CSR slice."""
-        rng = np.random.default_rng(5)
-        positions = rng.random((400, 2))
-        csr = CSRGrid(positions, ncells=6)
-        n = csr.ncells
+        positions = np.random.default_rng(5).random((400, 2))
+        csr = CSRGrid(positions, 6)
+        n = csr.nx
         j, ilo, ihi = 2, 1, 4
         lo = csr.cell_start[j * n + ilo]
         hi = csr.cell_start[j * n + ihi + 1]
-        jj = np.clip((csr.ys[lo:hi] * n).astype(int), 0, n - 1)
-        ii = np.clip((csr.xs[lo:hi] * n).astype(int), 0, n - 1)
+        ii, jj = cells_of(csr, positions[csr.ids[lo:hi]])
         assert (jj == j).all()
         assert ((ii >= ilo) & (ii <= ihi)).all()
+
+    @pytest.mark.skipif(
+        fast_index._scipy_sparsetools is None, reason="scipy not installed"
+    )
+    def test_scipy_kernel_passes_its_self_test(self):
+        # A SciPy release that breaks the private kernel must fail here,
+        # not quietly move every grid build to the slower fallback.
+        assert fast_index._scipy_group_works()
+        assert fast_index._USE_SCIPY
+
+    @pytest.mark.parametrize("scipy", [True, False], ids=["scipy", "argsort"])
+    def test_nan_rows_land_in_a_valid_cell(self, monkeypatch, scipy):
+        # The counting sort's C kernel writes by cell id, so a NaN
+        # coordinate must never become an out-of-range cell.
+        monkeypatch.setattr(fast_index, "_USE_SCIPY", scipy and fast_index._USE_SCIPY)
+        positions = np.array([[np.nan, 0.6], [0.2, np.nan], [0.9, 0.9]])
+        csr = CSRGrid(positions, 4)
+        assert csr.cell_start.tolist() == [0, 1] + [1] * 7 + [2] * 7 + [3]
+        assert csr.ids.tolist() == [1, 0, 2]
+
+    def test_stripe_grid_with_vacant_rows(self):
+        """A sharded stripe: non-unit region, nx != ny, a member subset.
+
+        Vacant rows hold the ``(-1, -1)`` sentinel and are not members;
+        the members are the rows inside the stripe.
+        """
+        rng = np.random.default_rng(6)
+        positions = rng.random((800, 2))
+        positions[rng.choice(800, 60, replace=False)] = -1.0
+        region = (0.25, 0.0, 0.5, 1.0)
+        members = np.flatnonzero(
+            (positions[:, 0] >= 0.25) & (positions[:, 0] < 0.5)
+        )
+        csr = CSRGrid(positions, 3, 11, region=region, member_idx=members)
+        assert (csr.nx, csr.ny, csr.region) == (3, 11, region)
+        assert_layout(csr, positions, members)
+        assert_prefix_counts(csr, positions, members, rng)
+        j = 7
+        lo, hi = csr.cell_start[j * 3], csr.cell_start[j * 3 + 3]
+        assert (cells_of(csr, positions[csr.ids[lo:hi]])[1] == j).all()
 
 
 class TestFastEngineExactness:

@@ -20,9 +20,10 @@ from repro.obs.remote import (
 )
 
 #: Counters that legitimately differ between a clean run and one that
-#: respawned a worker (a fresh process rebuilds instead of patching) or
-#: between processes (wall-clock).  Everything else must match exactly.
-NONDETERMINISTIC = ("delta.", "shard.task.fresh_builds")
+#: respawned a worker (a fresh process builds new stripe grids instead of
+#: updating cached ones) or between processes (wall-clock).  Everything
+#: else must match exactly.
+NONDETERMINISTIC = ("shard.task.updates", "shard.task.fresh_builds")
 
 
 def deterministic_aggregates(registry):
@@ -170,8 +171,8 @@ class TestShardedTelemetryEquivalence:
         assert crash_trace == clean_trace
         assert crash_reg.counter("shard.respawns") >= 1
         # The re-dispatched task merged exactly once: every deterministic
-        # counter matches the crash-free run (the respawned worker's full
-        # rebuild only moves delta.*/fresh_builds, which are excluded).
+        # counter matches the crash-free run (the respawned worker's fresh
+        # builds only move updates/fresh_builds, which are excluded).
         assert deterministic_aggregates(crash_reg) == deterministic_aggregates(
             clean_reg
         )

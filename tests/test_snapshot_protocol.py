@@ -140,6 +140,19 @@ class TestSnapshotKNN:
                 assert canonical(left) == canonical(right)
 
     @pytest.mark.parametrize("backend", BACKENDS)
+    def test_rewriting_the_input_leaves_the_snapshot_unchanged(self, backend):
+        rng = np.random.default_rng(25)
+        positions = rng.random((200, 2))
+        index = make_snapshot(positions, backend)
+        probes = rng.random((8, 2)).tolist()
+        before = [canonical(snapshot_knn(index, qx, qy, 4)) for qx, qy in probes]
+        original = positions.copy()
+        positions[:] = rng.random((200, 2))
+        after = [canonical(snapshot_knn(index, qx, qy, 4)) for qx, qy in probes]
+        assert after == before
+        assert index.position_of(17) == tuple(original[17])
+
+    @pytest.mark.parametrize("backend", BACKENDS)
     def test_seeded_matches_overhaul(self, backend):
         rng = np.random.default_rng(23)
         positions = tie_heavy_positions(rng, 200)

@@ -24,6 +24,8 @@ down the contracts that make that safe:
 import numpy as np
 import pytest
 
+from repro import build_system
+from repro.errors import OutOfRegionError
 from repro.obs.registry import MetricsRegistry
 from repro.service import MonitoringSession
 from repro.state import WorldSnapshot, WorldStore, as_world_snapshot
@@ -69,6 +71,57 @@ class TestSnapshotImmutability:
         store = WorldStore(np.array([[0.1, 0.2]]))
         snap = store.publish()
         assert as_world_snapshot(snap) is snap
+
+
+class TestRawArrayRegionCheck:
+    """Raw position arrays meet the session's region check at the pipeline.
+
+    An object far outside the square clamps into the edge cell of the
+    query's home cell and stops ring growth, so ``fast_grid`` would answer
+    it (object 99 at distance 4.05) instead of object 55 at 0.486; a NaN
+    row would reach the grid's counting sort.
+    """
+
+    @staticmethod
+    def probe():
+        rng = np.random.default_rng(0)
+        positions = np.column_stack((0.45 * rng.random(100), rng.random(100)))
+        positions[55] = [0.464, 0.55]
+        positions[99] = [5.0, 0.55]
+        return positions
+
+    @pytest.mark.parametrize(
+        "method,options",
+        [("fast_grid", {"ncells": 10}), ("sharded", {"workers": 0})],
+        ids=["fast_grid", "sharded"],
+    )
+    @pytest.mark.parametrize("bad", ["far", "nan"])
+    def test_out_of_region_rows_raise_before_any_engine_runs(
+        self, method, options, bad
+    ):
+        positions = self.probe()
+        queries = np.array([[0.95, 0.55]])
+        system = build_system(method, 1, queries, **options)
+        try:
+            good = positions.copy()
+            good[99] = [0.1, 0.1]
+            (answer,) = system.load(good)
+            assert answer.neighbors[0][0] == 55
+            if bad == "nan":
+                positions[99] = [np.nan, 0.55]
+            with pytest.raises(OutOfRegionError):
+                system.tick(positions)
+            with pytest.raises(OutOfRegionError):
+                system.load(positions)
+        finally:
+            system.close()
+
+    def test_published_snapshots_skip_the_check(self):
+        snap = WorldStore(np.array([[0.1, 0.2]])).publish()
+        assert (snap.positions == -1.0).any()  # vacant rows
+        assert as_world_snapshot(snap) is snap
+        with pytest.raises(OutOfRegionError):
+            as_world_snapshot(snap.positions.copy())
 
 
 class TestEpochDiscipline:
