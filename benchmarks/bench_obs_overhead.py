@@ -45,10 +45,8 @@ from repro.obs import (
     NULL_TRACER,
     MetricsRegistry,
     NullRegistry,
-    WorkerTelemetry,
     write_history_jsonl,
 )
-from repro.obs.remote import ANSWER_SPAN, BUILD_SPAN
 from repro.obs.tracing import _NULL_SPAN
 
 
@@ -58,11 +56,9 @@ class _CountingNullRegistry(NullRegistry):
     def __init__(self) -> None:
         super().__init__()
         self.emissions = 0
-        self.by_name: Dict[str, int] = {}
 
     def inc(self, name, amount=1.0, labels=None):
         self.emissions += 1
-        self.by_name[name] = self.by_name.get(name, 0) + 1
 
     def set_gauge(self, name, value, labels=None):
         self.emissions += 1
@@ -102,19 +98,6 @@ def measure_noop_costs(n: int = 200_000) -> Dict[str, float]:
         NULL_REGISTRY.inc("x", 1.0)
     inc_cost = (perf_counter() - start) / n
 
-    # The sharded worker's disabled path per task: a begin(False) plus the
-    # two timing spans (real Tracer on the null registry — they measure
-    # wall time for the build/answer split but record nowhere).
-    telemetry = WorkerTelemetry()
-    start = perf_counter()
-    for _ in range(n // 10):
-        tracer = telemetry.begin(False)
-        with tracer.span(BUILD_SPAN):
-            pass
-        with tracer.span(ANSWER_SPAN):
-            pass
-    task_cost = (perf_counter() - start) / (n // 10)
-
     start = perf_counter()
     for _ in range(n):
         pass
@@ -122,17 +105,7 @@ def measure_noop_costs(n: int = 200_000) -> Dict[str, float]:
     return {
         "span_noop_s": max(span_cost - loop_cost, 0.0),
         "inc_noop_s": max(inc_cost - loop_cost, 0.0),
-        "task_noop_s": max(task_cost - loop_cost, 0.0),
     }
-
-
-def _engine_config(method: str, workers: int) -> Dict:
-    if method != "sharded":
-        return {}
-    # Oversubscribe so --workers 2 means two real processes even on a
-    # single-core CI box — the gate is about instrumentation cost, and
-    # the cross-process shipping path only exists with workers > 0.
-    return {"workers": workers, "oversubscribe": True}
 
 
 def _one_run(
@@ -143,18 +116,13 @@ def _one_run(
     cycles: int,
     seed: int,
     instrumented: bool,
-    workers: int = 2,
 ):
     positions = make_dataset("uniform", n_objects, seed=seed)
     queries = make_queries(n_queries, seed=seed + 1)
     motion = RandomWalkModel(vmax=0.005, seed=seed + 2)
     kwargs = {"registry": MetricsRegistry()} if instrumented else {}
-    kwargs.update(_engine_config(method, workers))
     system = build_system(method, k, queries, **kwargs)
-    try:
-        timing = measure_cycles(system, positions, motion, cycles=cycles)
-    finally:
-        system.close()  # worker pools must not outlive their measurement
+    timing = measure_cycles(system, positions, motion, cycles=cycles)
     return timing, system
 
 
@@ -165,40 +133,29 @@ def count_disabled_emissions(
     k: int,
     cycles: int,
     seed: int,
-    workers: int = 2,
 ) -> Dict[str, float]:
     """Exact no-op emission counts per steady-state cycle.
 
     Runs the workload once with counting null objects swapped in: their
     ``enabled`` is False, so every guard and branch takes exactly the
     production disabled path, and each surviving no-op call is tallied.
-    ``tasks_per_cycle`` counts dispatched shard tasks (zero for
-    single-process methods) — each one costs the worker-side disabled
-    path (a telemetry ``begin`` plus two unrecorded timing spans) that
-    parent-side counting cannot see.
     """
     positions = make_dataset("uniform", n_objects, seed=seed)
     queries = make_queries(n_queries, seed=seed + 1)
     motion = RandomWalkModel(vmax=0.005, seed=seed + 2)
-    system = build_system(method, k, queries, **_engine_config(method, workers))
+    system = build_system(method, k, queries)
     registry = _CountingNullRegistry()
     tracer = _CountingNullTracer()
     system.pipeline.bind(registry, tracer)
-    try:
-        system.load(positions)
-        spans_before = tracer.emissions
-        incs_before = registry.emissions
-        tasks_before = registry.by_name.get("shard.tasks", 0)
-        for _ in range(cycles):
-            positions = motion.step(positions)
-            system.tick(positions)
-        tasks = registry.by_name.get("shard.tasks", 0) - tasks_before
-    finally:
-        system.close()
+    system.load(positions)
+    spans_before = tracer.emissions
+    incs_before = registry.emissions
+    for _ in range(cycles):
+        positions = motion.step(positions)
+        system.tick(positions)
     return {
         "spans_per_cycle": (tracer.emissions - spans_before) / cycles,
         "incs_per_cycle": (registry.emissions - incs_before) / cycles,
-        "tasks_per_cycle": tasks / cycles,
     }
 
 
@@ -210,22 +167,21 @@ def bench_overhead(
     cycles: int,
     repeats: int,
     seed: int,
-    workers: int = 2,
 ) -> Dict:
     """Interleaved enabled/disabled repeats; min-of-repeats comparison."""
     # Warm-up pair (allocator pools, numpy internals, import side effects).
-    _one_run(method, n_objects, n_queries, k, cycles, seed, False, workers)
-    _one_run(method, n_objects, n_queries, k, cycles, seed, True, workers)
+    _one_run(method, n_objects, n_queries, k, cycles, seed, False)
+    _one_run(method, n_objects, n_queries, k, cycles, seed, True)
 
     disabled: List[float] = []
     enabled: List[float] = []
     last_instrumented = None
     for repeat in range(repeats):
         timing_off, _ = _one_run(
-            method, n_objects, n_queries, k, cycles, seed + repeat, False, workers
+            method, n_objects, n_queries, k, cycles, seed + repeat, False
         )
         timing_on, system_on = _one_run(
-            method, n_objects, n_queries, k, cycles, seed + repeat, True, workers
+            method, n_objects, n_queries, k, cycles, seed + repeat, True
         )
         disabled.append(timing_off.total_time)
         enabled.append(timing_on.total_time)
@@ -235,16 +191,14 @@ def bench_overhead(
     best_on = min(enabled)
 
     emissions = count_disabled_emissions(
-        method, n_objects, n_queries, k, cycles, seed, workers
+        method, n_objects, n_queries, k, cycles, seed
     )
     spans_per_cycle = emissions["spans_per_cycle"]
     incs_per_cycle = emissions["incs_per_cycle"]
-    tasks_per_cycle = emissions["tasks_per_cycle"]
     noop = measure_noop_costs()
     disabled_emission_cost = (
         spans_per_cycle * noop["span_noop_s"]
         + incs_per_cycle * noop["inc_noop_s"]
-        + tasks_per_cycle * noop["task_noop_s"]
     )
     cycle_time = best_off / cycles
     return {
@@ -254,15 +208,12 @@ def bench_overhead(
         "k": k,
         "cycles": cycles,
         "repeats": repeats,
-        "workers": workers if method == "sharded" else None,
         "disabled_best_s": best_off,
         "enabled_best_s": best_on,
         "spans_per_cycle": spans_per_cycle,
         "incs_per_cycle": incs_per_cycle,
-        "tasks_per_cycle": tasks_per_cycle,
         "span_noop_s": noop["span_noop_s"],
         "inc_noop_s": noop["inc_noop_s"],
-        "task_noop_s": noop["task_noop_s"],
         "disabled_overhead": disabled_emission_cost / max(cycle_time, 1e-12),
         "enabled_overhead": best_on / max(best_off, 1e-12) - 1.0,
         "disabled_samples_s": disabled,
@@ -280,13 +231,6 @@ def main(argv: "List[str] | None" = None) -> int:
     parser.add_argument("--cycles", type=int, default=5)
     parser.add_argument("--repeats", type=int, default=5)
     parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=2,
-        help="worker processes for --method sharded (oversubscribed, so CI "
-        "boxes still fork real workers); ignored for other methods",
-    )
     parser.add_argument(
         "--budget",
         type=float,
@@ -322,7 +266,6 @@ def main(argv: "List[str] | None" = None) -> int:
         args.cycles,
         args.repeats,
         args.seed,
-        args.workers,
     )
     system = result.pop("instrumented_system")
     if args.jsonl and system is not None:
@@ -337,10 +280,8 @@ def main(argv: "List[str] | None" = None) -> int:
     )
     print(
         f"no-op emission sites: {result['spans_per_cycle']:.1f} spans + "
-        f"{result['incs_per_cycle']:.1f} incs + "
-        f"{result['tasks_per_cycle']:.1f} worker tasks per cycle at "
-        f"{result['span_noop_s'] * 1e9:.0f}ns / {result['inc_noop_s'] * 1e9:.0f}ns / "
-        f"{result['task_noop_s'] * 1e9:.0f}ns each"
+        f"{result['incs_per_cycle']:.1f} incs per cycle at "
+        f"{result['span_noop_s'] * 1e9:.0f}ns / {result['inc_noop_s'] * 1e9:.0f}ns each"
     )
     print(
         f"disabled overhead {result['disabled_overhead'] * 100:.3f}% "

@@ -38,7 +38,6 @@ from .core import (
     Recommendation,
     RectRegion,
     SelfJoinMonitor,
-    ShardedConfig,
     WorkloadProfile,
     answers_equal,
     brute_force_knn,
@@ -91,7 +90,6 @@ from .obs import (
 )
 from .rtree import RTree
 from .service import MonitoringSession
-from .shard import ShardedGridEngine
 from .state import WorldSnapshot, WorldStore
 from .tprtree import TPREngine, TPRTree
 from .viz import density_plot, side_by_side
@@ -134,8 +132,6 @@ __all__ = [
     "Recommendation",
     "RectRegion",
     "SelfJoinMonitor",
-    "ShardedConfig",
-    "ShardedGridEngine",
     "SnapshotIndex",
     "TPREngine",
     "TPRTree",

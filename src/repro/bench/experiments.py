@@ -1019,67 +1019,6 @@ def fastgrid_speedup(scale: float = 1.0) -> ExperimentResult:
 
 
 # ----------------------------------------------------------------------
-# Sharded parallel engine (production path, not a paper figure)
-# ----------------------------------------------------------------------
-def sharded_scaling(scale: float = 1.0) -> ExperimentResult:
-    """Sharded engine vs single-process fast grid (worker scaling).
-
-    Not a paper figure: sweeps the worker-pool size of the stripe-sharded
-    engine (``workers=0`` is the in-process serial fallback) against the
-    single-process fast-grid engine on the reference workload.
-    """
-    n_objects = _n(NP0, scale)
-    n_queries = _n(NQ0, scale)
-    result = ExperimentResult(
-        "sharded",
-        "Stripe-sharded multiprocess engine vs fast grid",
-        ["method", "index_s", "answer_s", "total_s", "speedup_vs_fast_grid"],
-        expectation="sharding shrinks the per-stripe sorts and gathers; "
-        "cycle time should not regress vs the single-process fast grid "
-        "and should improve as workers are added",
-    )
-    variants = [
-        ("fast_grid", {}),
-        ("sharded", {"workers": 0, "shards": 4}),
-        ("sharded", {"workers": 1}),
-        ("sharded", {"workers": 2}),
-        ("sharded", {"workers": 4}),
-    ]
-    timings = {}
-    for method, options in variants:
-        label = method if not options else (
-            f"{method}/w{options.get('workers')}"
-            + (f"s{options['shards']}" if "shards" in options else "")
-        )
-        positions = make_dataset("uniform", n_objects, seed=SEED)
-        queries = make_queries(n_queries, seed=SEED + 1)
-        motion = RandomWalkModel(vmax=VMAX0, seed=SEED + 2)
-        system = build_system(method, K0, queries, **options)
-        try:
-            timings[label] = measure_cycles(
-                system, positions, motion, cycles=CYCLES0
-            )
-        finally:
-            system.close()
-    baseline = timings["fast_grid"].total_time
-    for label, timing in timings.items():
-        result.add_row(
-            label,
-            timing.index_time,
-            timing.answer_time,
-            timing.total_time,
-            baseline / max(timing.total_time, 1e-12),
-        )
-    best = min(timings, key=lambda label: timings[label].total_time)
-    result.findings.append(
-        f"fastest variant: {best} at "
-        f"{timings[best].total_time * 1e3:.1f}ms/cycle "
-        f"(NP={n_objects}, NQ={n_queries}, k={K0})"
-    )
-    return result
-
-
-# ----------------------------------------------------------------------
 # Registry
 # ----------------------------------------------------------------------
 EXPERIMENTS: Dict[str, Callable[[float], ExperimentResult]] = {
@@ -1104,7 +1043,6 @@ EXPERIMENTS: Dict[str, Callable[[float], ExperimentResult]] = {
     "fig22b": fig22b_query_maintenance_velocity,
     "fig22c": fig22c_answering_velocity,
     "fastgrid": fastgrid_speedup,
-    "sharded": sharded_scaling,
     "ablation_delta0": ablation_delta0,
     "ablation_hier_params": ablation_hier_params,
     "ablation_containers": ablation_containers,

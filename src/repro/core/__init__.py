@@ -40,7 +40,6 @@ from .config import (
     ObjectIndexingConfig,
     QueryIndexingConfig,
     RTreeConfig,
-    ShardedConfig,
     TPRConfig,
 )
 from .monitor import MonitoringSystem
@@ -79,7 +78,6 @@ __all__ = [
     "ObjectIndexingConfig",
     "QueryIndexingConfig",
     "RTreeConfig",
-    "ShardedConfig",
     "TPRConfig",
     "FastGridEngine",
     "HierarchicalObjectIndex",

@@ -179,22 +179,6 @@ class TPRConfig(MethodConfig):
     tau: float = 1.0
 
 
-@dataclass(frozen=True)
-class ShardedConfig(MethodConfig):
-    """Sharded parallel CSR engine (:mod:`repro.shard`)."""
-
-    method = "sharded"
-    workers: int = 2
-    shards: Optional[int] = None
-    seed_slack: float = 0.5
-    task_timeout: float = 60.0
-    heartbeat_every: int = 0
-    oversubscribe: bool = False
-    #: Re-cut stripe boundaries from live-population quantiles when the
-    #: ``shard.imbalance_ratio`` gauge exceeds this (0 disables).
-    rebalance_threshold: float = 0.0
-
-
 #: Public method name -> config class; the single method registry.
 METHOD_CONFIGS: Dict[str, Type[MethodConfig]] = {
     cfg.method: cfg
@@ -206,7 +190,6 @@ METHOD_CONFIGS: Dict[str, Type[MethodConfig]] = {
         BruteForceConfig,
         FastGridConfig,
         TPRConfig,
-        ShardedConfig,
     )
 }
 

@@ -29,11 +29,6 @@ which likewise rebuilds one flat grid per tick:
   distance (the paper's §3.2 incremental radius, see
   :class:`FastGridEngine`); the radius is then the smaller of the two.
 
-A :class:`CSRGrid` covers any axis-aligned ``region`` with ``nx x ny``
-cells: :class:`FastGridEngine` indexes the unit square, and the sharded
-engine (:mod:`repro.shard`) keeps one grid per vertical stripe and
-merges the per-stripe :func:`batch_knn` results.
-
 Exactness argument (same as the paper's Fig. 3): the ring growth stops at
 the first rectangle ``R0 = R(cq, l)`` holding at least ``k`` objects, so
 the distance from ``q`` to the farthest corner of ``R0`` bounds the true
@@ -44,7 +39,7 @@ critical rectangle covers the disc of that radius, padded by a relative
 lands inside it despite rounding in ``q ± r`` and in the cell
 assignment; rectangle cells and snapshot cells use the one expression
 of :func:`cell_index`.  The per-query union rectangle only ever *adds*
-candidate cells.  Queries may lie outside the grid's region: the home
+candidate cells.  Queries may lie outside the unit square: the home
 cell clamps to the nearest edge cell, which only enlarges ``R0`` (and so
 the candidate set), never shrinks it.
 """
@@ -73,10 +68,6 @@ except ImportError:  # pragma: no cover - scipy absent in minimal CI envs
 #: rounds across a cell boundary.
 RADIUS_PAD_REL = 1e-9
 RADIUS_PAD_ABS = 1e-12
-
-#: The region a grid covers unless told otherwise: the unit square.
-UNIT_REGION = (0.0, 0.0, 1.0, 1.0)
-
 
 def _scipy_group_works() -> bool:
     """Verify the C counting-sort kernel on a tiny case before trusting it.
@@ -107,42 +98,39 @@ def _scipy_group_works() -> bool:
 _USE_SCIPY = _scipy_group_works()
 
 
-def cell_index(
-    v: np.ndarray, lo: float, hi: float, n: int, dtype=np.intp
-) -> np.ndarray:
-    """Clamped cell index along one axis of ``n`` cells over ``[lo, hi)``.
+def cell_index(v: np.ndarray, n: int, dtype=np.intp) -> np.ndarray:
+    """Clamped cell index along one axis of ``n`` cells over ``[0, 1)``.
 
     The one cell expression of the fast path: snapshot cells, query home
     cells and critical-rectangle bounds all come from it, so a point on a
     cell boundary lands in the same cell whichever of them asks.  The
     clamp runs on floats, before the cast, so coordinates far outside the
-    region (or infinite) clamp to the edge cells instead of overflowing,
-    and NaN lands in cell 0: every result is a valid index, which the
-    counting sort's C kernel relies on.
+    unit square (or infinite) clamp to the edge cells instead of
+    overflowing, and NaN lands in cell 0: every result is a valid index,
+    which the counting sort's C kernel relies on.
     """
-    c = (np.asarray(v, dtype=np.float64) - lo) * (n / (hi - lo))
+    c = np.asarray(v, dtype=np.float64) * n
     np.fmax(c, 0.0, out=c)  # fmax, unlike clip, maps NaN to 0
     np.fmin(c, n - 1, out=c)
     return c.astype(dtype)
 
 
 class CSRGrid:
-    """A grid snapshot of one rectangular region in CSR layout.
+    """A grid snapshot of the unit square in CSR layout.
 
-    ``nx x ny`` cells (``ny`` defaults to ``nx``) cover ``region =
-    (x0, y0, x1, y1)``, the unit square by default.  The indexed objects
-    are the ``member_idx`` rows of an ``(N, 2)`` position array (every
-    row when ``None``); their rows are the object IDs the grid reports,
-    so IDs stay row-stable while membership changes.
+    ``nx x nx`` square cells of side ``dx`` cover the unit square.  The
+    indexed objects are the ``member_idx`` rows of an ``(N, 2)`` position
+    array (every row when ``None``); their rows are the object IDs the
+    grid reports, so IDs stay row-stable while membership changes.
 
     ``ids``
         int32 member rows grouped by flat cell ID ``j * nx + i``: cell
         ``(i, j)`` owns ``ids[cell_start[j*nx+i] : cell_start[j*nx+i+1]]``,
         and cells ``(ilo..ihi, j)`` form one contiguous run.
     ``cell_start``
-        ``(nx*ny + 1,)`` int32 offsets, the counting sort's ``indptr``.
+        ``(nx*nx + 1,)`` int32 offsets, the counting sort's ``indptr``.
     ``prefix``
-        ``(ny+1, nx+1)`` int32 summed-area table of cell counts for O(1)
+        ``(nx+1, nx+1)`` int32 summed-area table of cell counts for O(1)
         rectangle population counts.
 
     Coordinates are not copied: the grid keeps a view of the position
@@ -156,29 +144,17 @@ class CSRGrid:
         self,
         positions: np.ndarray,
         nx: int,
-        ny: Optional[int] = None,
         *,
-        region: Tuple[float, float, float, float] = UNIT_REGION,
         member_idx: Optional[np.ndarray] = None,
     ) -> None:
         nx = int(nx)
-        ny = nx if ny is None else int(ny)
-        if nx < 1 or ny < 1:
-            raise ConfigurationError(
-                f"grid must have >= 1 cell per side, got {nx}x{ny}"
-            )
-        x0, y0, x1, y1 = (float(v) for v in region)
-        if not (x1 > x0 and y1 > y0):
-            raise ConfigurationError(f"degenerate region {region!r}")
+        if nx < 1:
+            raise ConfigurationError(f"grid must have >= 1 cell per side, got {nx}")
         self.nx = nx
-        self.ny = ny
-        self.region = (x0, y0, x1, y1)
-        self.dx = (x1 - x0) / nx
-        self.dy = (y1 - y0) / ny
-        n_cells = nx * ny
-        self.cell_start = np.zeros(n_cells + 1, dtype=np.int32)
-        self.prefix = np.zeros((ny + 1, nx + 1), dtype=np.int32)
-        self._row_counts = np.empty((ny, nx), dtype=np.int32)
+        self.dx = 1.0 / nx
+        self.cell_start = np.zeros(nx * nx + 1, dtype=np.int32)
+        self.prefix = np.zeros((nx + 1, nx + 1), dtype=np.int32)
+        self._row_counts = np.empty((nx, nx), dtype=np.int32)
         # Counting-sort buffers, grown to the largest population seen.
         self._ids = np.empty(0, dtype=np.int32)
         self._ones = np.empty(0, dtype=np.int8)
@@ -194,34 +170,38 @@ class CSRGrid:
     ) -> None:
         """Rebuild the snapshot over ``positions`` in place.
 
-        Region and cell layout stay; ``member_idx`` (unique row ids, or
-        ``None`` for every row) may differ from the last build.
+        The cell layout stays; ``member_idx`` (a sorted set of row ids, as
+        :class:`~repro.state.ObjectDelta` carries it, or ``None`` for
+        every row) may differ from the last build.  A member set that is
+        exactly ``[0, n)`` — first row 0, last row ``n - 1`` — is read as
+        the view ``positions[:n]``, with no gather.
         """
         positions = np.asarray(positions, dtype=np.float64)
         if positions.ndim != 2 or positions.shape[1] != 2:
             raise ConfigurationError("positions must be an (N, 2) array")
-        if member_idx is None:
-            n = len(positions)
+        n = len(positions) if member_idx is None else len(member_idx)
+        if member_idx is None or n == 0 or (
+            member_idx[0] == 0 and member_idx[-1] == n - 1
+        ):
             if len(self._all_rows) < n:
                 self._all_rows = np.arange(n, dtype=np.int32)
             rows = self._all_rows[:n]
-            members = positions
+            members = positions[:n]
         else:
             rows = np.ascontiguousarray(member_idx, dtype=np.int32)
             members = positions[rows]
-        x0, y0, x1, y1 = self.region
-        flat = cell_index(members[:, 1], y0, y1, self.ny, np.int32)
-        flat *= self.nx
-        flat += cell_index(members[:, 0], x0, x1, self.nx, np.int32)
+        nx = self.nx
+        flat = cell_index(members[:, 1], nx, np.int32)
+        flat *= nx
+        flat += cell_index(members[:, 0], nx, np.int32)
         self.ids = self._group(flat, rows, len(positions))
-        self.n_objects = len(rows)
+        self.n_objects = n
         # cell_start is the row-major running count, so each grid row's
         # horizontal prefix is one subtraction of the row's start; only
         # the vertical accumulation remains.
-        nx = self.nx
         np.subtract(
-            self.cell_start[1:].reshape(self.ny, nx),
-            self.cell_start[0 : self.ny * nx : nx, None],
+            self.cell_start[1:].reshape(nx, nx),
+            self.cell_start[0 : nx * nx : nx, None],
             out=self._row_counts,
         )
         np.cumsum(self._row_counts, axis=0, out=self.prefix[1:, 1:])
@@ -280,26 +260,24 @@ class CSRGrid:
 
     # ------------------------------------------------------------------
     # SnapshotIndex protocol (repro.engines.snapshot) — scalar accessors
-    # used by the index-agnostic workload operators over the square
-    # unit-region grid make_snapshot builds.  The batched fast path
-    # above never calls these.
+    # used by the index-agnostic workload operators over the grid
+    # make_snapshot builds.  The batched fast path above never calls
+    # these.
     # ------------------------------------------------------------------
     @property
     def ncells(self) -> int:
-        """Cells per side of a square grid."""
+        """Cells per side."""
         return self.nx
 
     @property
     def delta(self) -> float:
-        """Cell side of a square grid."""
+        """Cell side."""
         return self.dx
 
     def locate(self, x: float, y: float) -> Tuple[int, int]:
         """Cell ``(i, j)`` of a point (clamped to the grid)."""
-        x0, y0, x1, y1 = self.region
-        i = int((x - x0) * (self.nx / (x1 - x0)))
-        j = int((y - y0) * (self.ny / (y1 - y0)))
-        return min(max(i, 0), self.nx - 1), min(max(j, 0), self.ny - 1)
+        top = self.nx - 1
+        return min(max(int(x * self.nx), 0), top), min(max(int(y * self.nx), 0), top)
 
     def count_in_cells(self, ilo: int, jlo: int, ihi: int, jhi: int) -> int:
         """Number of objects inside the inclusive cell rectangle."""
@@ -340,25 +318,15 @@ class CSRGrid:
 
 @dataclass
 class BatchKNNResult:
-    """Raw output of one :func:`batch_knn` pass over one region.
+    """Raw output of one :func:`batch_knn` pass.
 
     ``top_d2``/``top_ids`` are ``(nq, k)`` arrays in the *caller's* query
-    order; when the region holds fewer than ``k`` objects the tail
-    columns are padded with ``inf`` / ``-1``.  ``stats`` carries the
-    algorithmic counters of the pass.
+    order.  ``stats`` carries the algorithmic counters of the pass.
     """
 
     top_d2: np.ndarray
     top_ids: np.ndarray
     stats: Dict[str, int]
-
-
-def _empty_result(nq: int, k: int) -> BatchKNNResult:
-    return BatchKNNResult(
-        np.full((nq, k), np.inf),
-        np.full((nq, k), -1, dtype=np.intp),
-        {"ring_passes": 0, "groups": 0, "candidates": 0, "pairs": 0, "bounded": 0},
-    )
 
 
 def kth_smallest(
@@ -397,15 +365,14 @@ def batch_knn(
     tracer: Tracer | NullTracer = NULL_TRACER,
     bound_d2: Optional[np.ndarray] = None,
 ) -> BatchKNNResult:
-    """Exact batched k-NN of every query against one CSR region snapshot.
+    """Exact batched k-NN of every query against one CSR snapshot.
 
-    The reusable per-region answering kernel: radii -> gather -> select,
-    all queries at once, ties broken by (distance, global object ID).
-    ``k`` may exceed the region population — the kernel then returns the
-    ``min(k, n_objects)`` nearest and pads the remaining columns with
-    ``inf`` distances and ``-1`` IDs (the sharded merge relies on this).
-    Queries may lie outside the region; their home cell clamps to the
-    nearest edge cell, which preserves exactness (see module docstring).
+    The answering kernel: radii -> gather -> select, all queries at once,
+    ties broken by (distance, object ID).  Raises
+    :class:`~repro.errors.NotEnoughObjectsError` when ``k`` exceeds the
+    snapshot's population.  Queries may lie outside the unit square;
+    their home cell clamps to the nearest edge cell, which preserves
+    exactness (see module docstring).
 
     ``bound_d2`` optionally gives each query an upper bound on its k-th
     squared distance (``inf`` where there is none): the squared distance
@@ -422,47 +389,49 @@ def batch_knn(
     qy = np.ascontiguousarray(qy, dtype=np.float64)
     nq = len(qx)
     k = int(k)
-    k_eff = min(k, csr.n_objects)
-    if nq == 0 or k_eff == 0:
-        return _empty_result(nq, k)
+    if k > csr.n_objects:
+        raise NotEnoughObjectsError(k, csr.n_objects)
+    if nq == 0:
+        return BatchKNNResult(
+            np.empty((0, k)),
+            np.empty((0, k), dtype=np.intp),
+            {"ring_passes": 0, "groups": 0, "candidates": 0, "pairs": 0, "bounded": 0},
+        )
 
-    nx, ny = csr.nx, csr.ny
-    x0, y0, x1, y1 = csr.region
-    dx, dy = csr.dx, csr.dy
+    nx = csr.nx
+    dx = csr.dx
 
     # ---- stage: radii -------------------------------------------------
     with tracer.span("radii"):
-        qi = cell_index(qx, x0, x1, nx)
-        qj = cell_index(qy, y0, y1, ny)
+        qi = cell_index(qx, nx)
+        qj = cell_index(qy, nx)
 
         # Vectorized ring growth: every query still short of k objects
         # grows its rectangle R(cq, l) by one ring per pass; the
         # prefix-sum makes each pass O(NQ) with no per-object work.
         level = np.zeros(nq, dtype=np.intp)
-        active = csr.count_in_rects(qi, qj, qi, qj) < k_eff
+        active = csr.count_in_rects(qi, qj, qi, qj) < k
         l = 0
         while active.any():
             l += 1
-            if l > max(nx, ny):  # pragma: no cover - k_eff <= n_objects makes this unreachable
-                raise NotEnoughObjectsError(k, csr.n_objects)
             level[active] += 1
             ai, aj, al = qi[active], qj[active], level[active]
             acounts = csr.count_in_rects(
                 np.maximum(ai - al, 0),
                 np.maximum(aj - al, 0),
                 np.minimum(ai + al, nx - 1),
-                np.minimum(aj + al, ny - 1),
+                np.minimum(aj + al, nx - 1),
             )
-            done = acounts >= k_eff
+            done = acounts >= k
             idx = np.nonzero(active)[0]
             active[idx[done]] = False
 
         # lcrit: distance from q to the farthest corner of the clamped R0.
         # R0 holds >= k objects, so the disc (q, lcrit) covers the true k-NN.
-        r0_xlo = x0 + np.maximum(qi - level, 0) * dx
-        r0_ylo = y0 + np.maximum(qj - level, 0) * dy
-        r0_xhi = x0 + (np.minimum(qi + level, nx - 1) + 1) * dx
-        r0_yhi = y0 + (np.minimum(qj + level, ny - 1) + 1) * dy
+        r0_xlo = np.maximum(qi - level, 0) * dx
+        r0_ylo = np.maximum(qj - level, 0) * dx
+        r0_xhi = (np.minimum(qi + level, nx - 1) + 1) * dx
+        r0_yhi = (np.minimum(qj + level, nx - 1) + 1) * dx
         far_dx = np.maximum(qx - r0_xlo, r0_xhi - qx)
         far_dy = np.maximum(qy - r0_ylo, r0_yhi - qy)
         radius = np.hypot(far_dx, far_dy)
@@ -475,10 +444,10 @@ def batch_knn(
         radius = radius * (1.0 + RADIUS_PAD_REL) + RADIUS_PAD_ABS
 
         # Critical rectangle: cells intersecting the bounding box of the disc.
-        ilo = cell_index(qx - radius, x0, x1, nx)
-        jlo = cell_index(qy - radius, y0, y1, ny)
-        ihi = cell_index(qx + radius, x0, x1, nx)
-        jhi = cell_index(qy + radius, y0, y1, ny)
+        ilo = cell_index(qx - radius, nx)
+        jlo = cell_index(qy - radius, nx)
+        ihi = cell_index(qx + radius, nx)
+        jhi = cell_index(qy + radius, nx)
 
     # ---- stage: gather ------------------------------------------------
     with tracer.span("gather"):
@@ -547,29 +516,26 @@ def batch_knn(
         # query's k-th smallest distance, keep the pairs at or below it
         # (ties included), and rank only that remainder by (query,
         # distance, ID); the first k of each query's run are its k-NN.
-        kth = kth_smallest(pair_d2, pairs_per_query, pair_cum[:-1], k_eff)
+        kth = kth_smallest(pair_d2, pairs_per_query, pair_cum[:-1], k)
         if not np.isfinite(kth).all():
             # Ring growth and the bound each guarantee >= k live objects
             # inside the critical rectangle; this is an internal error.
             raise IndexStateError(
                 "batch_knn: a query's critical rectangle holds fewer than "
-                f"k={k_eff} objects"
+                f"k={k} objects"
             )
         keep = np.flatnonzero(pair_d2 <= np.repeat(kth, pairs_per_query))
         keep_q = pair_qpos[keep]
         ranked = keep[np.lexsort((pair_ids[keep], pair_d2[keep], keep_q))]
         kept_per_query = np.bincount(keep_q, minlength=nq)
         run_start = np.concatenate(([0], np.cumsum(kept_per_query)[:-1]))
-        top = ranked[run_start[:, None] + np.arange(k_eff)]
-        sel_d2 = pair_d2[top]
-        sel_ids = pair_ids[top]
+        top = ranked[run_start[:, None] + np.arange(k)]
 
-        # Scatter back to the caller's query order, padding the k_eff..k
-        # tail (region population below k) with inf / -1 sentinels.
-        top_d2 = np.full((nq, k), np.inf)
-        top_ids = np.full((nq, k), -1, dtype=np.intp)
-        top_d2[qorder, :k_eff] = sel_d2
-        top_ids[qorder, :k_eff] = sel_ids
+        # Scatter back to the caller's query order.
+        top_d2 = np.empty((nq, k))
+        top_ids = np.empty((nq, k), dtype=np.intp)
+        top_d2[qorder] = pair_d2[top]
+        top_ids[qorder] = pair_ids[top]
 
     return BatchKNNResult(
         top_d2,
@@ -709,23 +675,20 @@ class FastGridEngine(BaseEngine):
     def answer(self) -> List[AnswerList]:
         if self.csr is None:
             raise IndexStateError("load() must run before answer()")
-        csr = self.csr
         k = self.k
-        if k > csr.n_objects:
-            raise NotEnoughObjectsError(k, csr.n_objects)
         nq = self.n_queries
-        if nq == 0:
-            self._prev_rows = None
-            return []
-
+        # batch_knn raises NotEnoughObjectsError when k exceeds the population.
         result = batch_knn(
-            csr,
+            self.csr,
             self.queries[:, 0],
             self.queries[:, 1],
             k,
             self.tracer,
             bound_d2=self._bound_d2(),
         )
+        if nq == 0:
+            self._prev_rows = None
+            return []
         self._prev_rows = result.top_ids
 
         answers: List[AnswerList] = []

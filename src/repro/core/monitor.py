@@ -22,10 +22,8 @@ Method                       Paper method
 ``brute_force``              linear-scan oracle (not in the paper; testing)
 ``fast_grid``                vectorized CSR + batched answering (production
                              fast path, not a paper method; see fast_index)
-``sharded``                  stripe-sharded multiprocess engine over
-                             incrementally maintained delta-CSR stripes
-                             (production scale-out path; see
-                             :mod:`repro.shard`)
+``tpr``                      predictive TPR-tree (related-work baseline;
+                             answers predicted positions)
 ===========================  ==================================================
 
 ``build_system`` resolves the name through the engine registry and its
@@ -136,10 +134,11 @@ class MonitoringSystem:
         """Average total cycle time, by default excluding the initial build."""
         return self.pipeline.mean_cycle_time(skip_first)
 
-    # -- resource management (engines may own worker pools) ------------
+    # -- resource management ---------------------------------------------
     def close(self) -> None:
-        """Release engine-held OS resources (idempotent; most engines hold
-        none, the sharded engine holds a worker pool and shared memory)."""
+        """Release engine-held OS resources through the engine's own
+        ``close()``, if it has one (idempotent; no engine in this package
+        holds any)."""
         close = getattr(self.engine, "close", None)
         if close is not None:
             close()

@@ -5,8 +5,8 @@
   that owns load/maintain/answer sequencing and timing capture.
 * One module per paper-faithful engine (``object_indexing``,
   ``query_indexing``, ``hierarchical``, ``rtree_engine``, ``brute``); the
-  vectorized engines live with their kernels (``repro.core.fast_index``,
-  ``repro.shard.engine``, and ``repro.tprtree.engine`` for TPR).
+  vectorized engine lives with its kernels (``repro.core.fast_index``),
+  and TPR in ``repro.tprtree.engine``.
 * :mod:`~repro.engines.registry` — the single method-name -> engine
   table every construction path resolves through.
 * :mod:`~repro.engines.snapshot` — the :class:`SnapshotIndex` protocol
@@ -52,7 +52,6 @@ __all__ = [
     "QueryIndexingEngine",
     "RTreeEngine",
     "SNAPSHOT_BACKENDS",
-    "ShardedGridEngine",
     "SnapshotIndex",
     "build_system",
     "engine_class",
@@ -65,15 +64,10 @@ __all__ = [
 
 
 def __getattr__(name: str):
-    # The fast-grid and sharded engines live in heavier modules (numpy
-    # kernels, multiprocessing); resolve them on first access instead of
-    # at package import.
+    # The fast-grid engine lives with its numpy kernels; resolve it on
+    # first access instead of at package import.
     if name == "FastGridEngine":
         from ..core.fast_index import FastGridEngine
 
         return FastGridEngine
-    if name == "ShardedGridEngine":
-        from ..shard.engine import ShardedGridEngine
-
-        return ShardedGridEngine
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

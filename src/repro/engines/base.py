@@ -161,19 +161,6 @@ class BaseEngine(abc.ABC):
     def answer(self) -> List[AnswerList]:
         """Exact k-NN answers for the snapshot last passed to maintain()."""
 
-    def pop_deferred_index_seconds(self) -> float:
-        """Index-maintenance seconds that ran inside :meth:`answer`.
-
-        Engines that build or repair index state lazily during the
-        answer phase (the sharded engine indexes each stripe when its
-        first task of the cycle arrives) report those seconds here;
-        :class:`CyclePipeline` moves them from the answer time to the
-        index time of the cycle record.  Calling this resets the
-        accumulator.  The default is ``0.0``: most engines do all
-        maintenance in :meth:`maintain`.
-        """
-        return 0.0
-
 
 @dataclass(frozen=True)
 class CycleTiming:
@@ -312,13 +299,6 @@ class CyclePipeline:
         with self.tracer.span("answer"):
             answers = self.engine.answer()
         answer_time = time.perf_counter() - start
-        # Lazy index builds that ran inside answer() belong to the index
-        # phase.  Clamp to the measured answer time: parallel engines sum
-        # per-worker build seconds, which can exceed wall clock.
-        deferred = min(self.engine.pop_deferred_index_seconds(), answer_time)
-        if deferred > 0.0:
-            index_time += deferred
-            answer_time -= deferred
         counters = registry.counters_since(before) if before is not None else None
         record = CycleTiming(timestamp, index_time, answer_time, counters)
         if initial:

@@ -5,8 +5,7 @@ through this table via :func:`build_system`, the one system factory:
 the session, the benchmark presets (:data:`BENCH_PRESETS`) and the
 experiment functions in :mod:`repro.bench.experiments` all call it.
 Engine classes are looked up lazily by dotted path so importing the
-registry stays cheap (the sharded engine, for instance, drags in
-``multiprocessing``).
+registry stays cheap.
 """
 
 from __future__ import annotations
@@ -32,7 +31,6 @@ ENGINE_PATHS: Dict[str, Tuple[str, str]] = {
     "brute_force": ("repro.engines.brute", "BruteForceEngine"),
     "fast_grid": ("repro.core.fast_index", "FastGridEngine"),
     "tpr": ("repro.tprtree.engine", "TPREngine"),
-    "sharded": ("repro.shard.engine", "ShardedGridEngine"),
 }
 
 
@@ -83,7 +81,6 @@ BENCH_PRESETS: Dict[str, Tuple[str, Dict[str, object]]] = {
     "brute_force": ("brute_force", {}),
     "tpr_predictive": ("tpr", {}),
     "fast_grid": ("fast_grid", {}),
-    "sharded": ("sharded", {}),
 }
 
 
@@ -122,7 +119,7 @@ def build_system(
 
     The one system factory.  ``method`` may be a benchmark
     preset (``object_overhaul``, ...) or any bare registry method name
-    (``object_indexing``, ``sharded``, ...); ``config`` may be a typed
+    (``object_indexing``, ``fast_grid``, ...); ``config`` may be a typed
     :class:`~repro.core.config.MethodConfig` block or a plain dict
     (validated via :meth:`~repro.core.config.MethodConfig.from_dict`);
     keyword ``overrides`` are applied on top of the preset's options and

@@ -42,8 +42,8 @@ class RandomWalkModel:
     update_fraction:
         Fraction of objects that move each cycle (default 1.0 — every
         object, the paper's setting).  Lower values model workloads
-        where most objects report unchanged positions, the regime the
-        sharded engine's delta-CSR patch path targets.
+        where most objects report unchanged positions, the low-mobility
+        regime where incremental index maintenance pays off.
     """
 
     def __init__(

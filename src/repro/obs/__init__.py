@@ -26,13 +26,7 @@ from .export import (
     read_history_jsonl,
     write_history_jsonl,
 )
-from .remote import (
-    MetricsServer,
-    WorkerTelemetry,
-    merge_worker_metrics,
-    merged_worker_counters,
-    start_metrics_server,
-)
+from .remote import MetricsServer, start_metrics_server
 from .registry import (
     DEFAULT_TIME_BUCKETS,
     Histogram,
@@ -65,13 +59,10 @@ __all__ = [
     "Span",
     "Tracer",
     "ValidationReport",
-    "WorkerTelemetry",
     "cycle_report",
     "history_records",
     "label_key",
     "mean_cycle_counters",
-    "merge_worker_metrics",
-    "merged_worker_counters",
     "parse_prometheus_text",
     "predict_overhaul_counters",
     "prometheus_text",

@@ -20,22 +20,14 @@ import sys
 
 
 def _build(args, registry):
-    """A monitoring system for the CLI flags (sharded flags only apply there)."""
+    """A monitoring system for the CLI flags."""
     import numpy as np
 
     from ..engines.registry import build_system
 
     rng = np.random.default_rng(args.seed)
     queries = rng.random((args.n_queries, 2))
-    config = {}
-    if args.method == "sharded":
-        config = {
-            "workers": args.workers,
-            "oversubscribe": True,
-        }
-        if args.shards is not None:
-            config["shards"] = args.shards
-    system = build_system(args.method, args.k, queries, registry=registry, **config)
+    system = build_system(args.method, args.k, queries, registry=registry)
     return system, rng
 
 
@@ -47,10 +39,6 @@ def _add_run_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("-k", type=int, default=8)
     parser.add_argument("--cycles", type=int, default=5)
     parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--workers", type=int, default=2,
-                        help="worker processes (sharded method only)")
-    parser.add_argument("--shards", type=int, default=None,
-                        help="stripe count (sharded method only)")
 
 
 def _serve(argv) -> int:
@@ -60,7 +48,6 @@ def _serve(argv) -> int:
                     "over HTTP.",
     )
     _add_run_flags(parser)
-    parser.set_defaults(method="sharded")
     parser.add_argument("--host", default="127.0.0.1")
     parser.add_argument("--port", type=int, default=9109,
                         help="HTTP port (0 picks an ephemeral one)")
@@ -95,15 +82,8 @@ def _serve(argv) -> int:
             server.publish()
             if args.watch:
                 stats = system.last_stats
-                gauges = registry.gauge_values()
-                extras = "".join(
-                    f"  {key}={gauges[key]:g}"
-                    for key in ("shard.last_rounds", "shard.imbalance_ratio",
-                                "shard.pool.respawns")
-                    if key in gauges
-                )
                 print(f"cycle {cycle:4d}  index {stats.index_time:.4f}s  "
-                      f"answer {stats.answer_time:.4f}s{extras}")
+                      f"answer {stats.answer_time:.4f}s")
             if args.interval > 0:
                 time.sleep(args.interval)
     except KeyboardInterrupt:
@@ -125,16 +105,14 @@ def _run(argv) -> int:
     parser.add_argument("--prometheus", metavar="PATH",
                         help="write a Prometheus text dump here")
     parser.add_argument("--validate", action="store_true",
-                        help="also run the soundness checks: overhaul "
-                             "cost-model counters and sharded merged-worker "
-                             "telemetry")
+                        help="also check the overhaul cost-model counters")
     args = parser.parse_args(argv)
 
     import numpy as np
 
     from .export import cycle_report, prometheus_text, write_history_jsonl
     from .registry import MetricsRegistry
-    from .validate import run_sharded_validation, run_validation
+    from .validate import run_validation
 
     rng = np.random.default_rng(args.seed)
     registry = MetricsRegistry()
@@ -153,26 +131,15 @@ def _run(argv) -> int:
         print(f"wrote Prometheus dump to {args.prometheus}")
     system.close()
     if args.validate:
-        failed = False
-        for report in (
-            run_validation(
-                n_objects=args.n_objects,
-                n_queries=args.n_queries,
-                k=args.k,
-                seed=args.seed,
-            ),
-            run_sharded_validation(
-                n_objects=min(args.n_objects, 800),
-                n_queries=args.n_queries,
-                k=args.k,
-                seed=args.seed,
-                workers=max(1, args.workers),
-            ),
-        ):
-            print()
-            print(report.render())
-            failed = failed or not report.ok
-        if failed:
+        report = run_validation(
+            n_objects=args.n_objects,
+            n_queries=args.n_queries,
+            k=args.k,
+            seed=args.seed,
+        )
+        print()
+        print(report.render())
+        if not report.ok:
             return 1
     return 0
 

@@ -108,9 +108,9 @@ def prometheus_text(registry: MetricsRegistry, prefix: str = "repro") -> str:
 
     Labeled series (keys produced by
     :func:`~repro.obs.registry.label_key`) are rendered as native
-    Prometheus label sets — ``repro_shard_worker_tasks_total{worker="0"}``
-    — with one HELP/TYPE header per metric name, labeled series grouped
-    beneath it.
+    Prometheus label sets —
+    ``repro_service_admission_deferred_total{kind="object"}`` — with one
+    HELP/TYPE header per metric name, labeled series grouped beneath it.
     """
     lines: List[str] = []
 

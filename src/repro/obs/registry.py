@@ -7,10 +7,10 @@ is deliberately minimal: plain dictionaries of floats, no locking (one
 registry per monitoring system, single-threaded like the monitoring
 cycle itself).
 
-Metrics may carry a *label set* — ``inc("shard.worker.tasks",
-labels={"worker": "3"})`` — which is flattened into the storage key in
-the Prometheus sample syntax (``shard.worker.tasks{worker="3"}``, label
-keys sorted).  :func:`label_key` builds such keys and
+Metrics may carry a *label set* — ``inc("service.admission_deferred",
+labels={"kind": "object"})`` — which is flattened into the storage key
+in the Prometheus sample syntax
+(``service.admission_deferred{kind="object"}``, label keys sorted).  :func:`label_key` builds such keys and
 :func:`split_labels` takes them apart; the exporter renders the label
 set natively instead of mangling it into the metric name.  Unlabeled
 metrics pay nothing for this — the ``labels=None`` fast path is one
@@ -31,7 +31,7 @@ from typing import Dict, Mapping, Optional, Sequence, Tuple
 def label_key(name: str, labels: Optional[Mapping[str, object]]) -> str:
     """Canonical storage key for ``name`` under a label set.
 
-    ``label_key("a.b", {"worker": 2}) == 'a.b{worker="2"}'``; label keys
+    ``label_key("a.b", {"kind": 2}) == 'a.b{kind="2"}'``; label keys
     are sorted so equal label sets always produce the same key.  With no
     labels the name itself is the key.
     """

@@ -1,144 +1,16 @@
-"""Cross-process telemetry: worker-side collection, parent-side merge.
+"""Live Prometheus endpoint over a stdlib HTTP server.
 
-The sharded engine (:mod:`repro.shard`) executes its per-stripe work in
-forked worker processes, which cannot share the parent's
-:class:`~repro.obs.registry.MetricsRegistry`.  This module closes that
-gap without adding a single syscall to the hot path:
-
-* Each worker owns a :class:`WorkerTelemetry` — a lazily constructed
-  local registry + tracer pair.  When a task arrives with
-  ``obs=True``, the task function records its spans and counters into
-  the local registry and ships the per-task **counter delta** (a small
-  ``{name: float}`` dict) piggybacked on the result message it was going
-  to send anyway.  With ``obs=False`` the local pair is never built and
-  the reply carries no metrics key at all.
-* The parent calls :func:`merge_worker_metrics` on every result.  Each
-  shipped counter ``name`` lands twice in the bound registry: as the
-  labeled per-worker series ``shard.worker.<name>{worker="i"}`` and as
-  the plain aggregate ``shard.all.<name>``.  Because metrics ride the
-  result pipe, the pool's task-id de-duplication gives merge idempotence
-  for free: a task re-dispatched after a worker crash produces exactly
-  one result, hence exactly one merge — counters cannot double-count.
-
-:func:`start_metrics_server` additionally exposes a registry's live
-Prometheus text over a stdlib HTTP endpoint (``python -m repro.obs
-serve`` wraps it).
+:func:`start_metrics_server` exposes a registry's Prometheus text at
+``/metrics`` (``python -m repro.obs serve`` wraps it).
 """
 
 from __future__ import annotations
 
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Optional, Tuple
 
-from ..errors import IndexStateError
-from .registry import NULL_REGISTRY, MetricsRegistry
-from .tracing import Tracer
-
-#: Worker-side span names for the two task stages.  The parent asserts
-#: their shipped seconds sum to at most the task's wall time.
-BUILD_SPAN = "shard_build"
-ANSWER_SPAN = "shard_answer"
-
-_STAGE_SECONDS = (f"span.{BUILD_SPAN}.seconds", f"span.{ANSWER_SPAN}.seconds")
-
-
-class WorkerTelemetry:
-    """Lazy per-process metrics registry + tracer for shard workers.
-
-    One instance lives for the whole worker process (or for the serial
-    engine's in-process fallback).  ``begin()`` is called at the top of
-    every task: with instrumentation off it hands back a shared
-    *unrecorded* tracer — spans still measure (the engine needs the
-    build/answer split for timing attribution) but record nowhere and no
-    registry is ever constructed.  With instrumentation on it snapshots
-    the local counters so ``deltas()`` can ship exactly this task's
-    contribution; the registry and tracer persist across tasks, so span
-    path/name caches stay warm.
-    """
-
-    __slots__ = ("registry", "tracer", "_timing_tracer", "_before", "_enabled")
-
-    def __init__(self) -> None:
-        self.registry: Optional[MetricsRegistry] = None
-        self.tracer: Optional[Tracer] = None
-        # Times but records nowhere; shared across disabled tasks.
-        self._timing_tracer = Tracer(NULL_REGISTRY)
-        self._before: Optional[Dict[str, float]] = None
-        self._enabled = False
-
-    def begin(self, enabled: bool) -> Tracer:
-        """Start one task; returns the tracer its spans should use."""
-        self._enabled = bool(enabled)
-        if not self._enabled:
-            return self._timing_tracer
-        if self.registry is None:
-            self.registry = MetricsRegistry()
-            self.tracer = Tracer(self.registry)
-        self._before = self.registry.counter_values()
-        return self.tracer
-
-    def inc(self, name: str, amount: float = 1.0) -> None:
-        """Record a counter for the current task (no-op when disabled)."""
-        if self._enabled:
-            self.registry.inc(name, amount)
-
-    @property
-    def enabled(self) -> bool:
-        return self._enabled
-
-    def deltas(self) -> Optional[Dict[str, float]]:
-        """This task's counter deltas, or ``None`` when instrumentation is off."""
-        if not self._enabled:
-            return None
-        return self.registry.counters_since(self._before)
-
-
-def merge_worker_metrics(
-    registry: MetricsRegistry,
-    worker: object,
-    deltas: Mapping[str, float],
-    task_wall: Optional[float] = None,
-) -> None:
-    """Merge one task's shipped counter deltas into the parent registry.
-
-    Every counter lands under the labeled per-worker series
-    ``shard.worker.<name>{worker="<worker>"}`` and the plain aggregate
-    ``shard.all.<name>``.  When ``task_wall`` (the worker-measured task
-    wall time) is provided, the shipped build/answer stage seconds are
-    checked against it: the stages are disjoint sub-intervals of the
-    task, so their sum exceeding the wall time means the worker's timing
-    attribution is broken and an :class:`~repro.errors.IndexStateError`
-    is raised rather than silently recording nonsense.
-    """
-    if task_wall is not None:
-        staged = sum(deltas.get(name, 0.0) for name in _STAGE_SECONDS)
-        if staged > task_wall * (1.0 + 1e-9) + 1e-9:
-            raise IndexStateError(
-                f"worker {worker} stage seconds {staged:.9f} exceed task "
-                f"wall time {task_wall:.9f}; timing attribution is broken"
-            )
-    labels = {"worker": worker}
-    for name, value in deltas.items():
-        registry.inc(f"shard.worker.{name}", value, labels=labels)
-        registry.inc(f"shard.all.{name}", value)
-
-
-def merged_worker_counters(
-    registry: MetricsRegistry, aggregate: bool = True
-) -> Dict[str, float]:
-    """The merged worker counters, with the routing prefix stripped.
-
-    ``aggregate=True`` returns the ``shard.all.*`` view (one entry per
-    original worker-side counter name); ``aggregate=False`` returns the
-    per-worker view keyed by the full labeled storage key.
-    """
-    prefix = "shard.all." if aggregate else "shard.worker."
-    out: Dict[str, float] = {}
-    for key, value in registry.counter_values().items():
-        if key.startswith(prefix):
-            out[key[len(prefix):]] = value
-    return out
+from .registry import MetricsRegistry
 
 
 # ----------------------------------------------------------------------

@@ -15,8 +15,7 @@ Two flavors exist:
 
 * :class:`Tracer` — always measures time (two ``perf_counter`` calls per
   span).  Give it :data:`~repro.obs.registry.NULL_REGISTRY` for a tracer
-  that times but records nowhere; shard workers time their tasks that
-  way when instrumentation is off.
+  that times but records nowhere.
 * :data:`NULL_TRACER` — the disabled path: ``span()`` hands back one
   shared do-nothing context manager, no clock is read at all.  An
   uninstrumented engine holds it, so its stage spans cost nothing.

@@ -219,147 +219,3 @@ def run_validation(
         delta=delta,
         tolerance_factor=tolerance_factor,
     )
-
-
-def run_sharded_validation(
-    n_objects: int = 600,
-    n_queries: int = 32,
-    k: int = 8,
-    cycles: int = 4,
-    seed: int = 7,
-    workers: int = 2,
-    shards: int = 2,
-    tolerance_factor: float = 4.0,
-) -> ValidationReport:
-    """Soundness checks for the sharded engine's merged worker telemetry.
-
-    Runs the same deterministic trace twice — once with ``workers``
-    processes, once with the ``workers=0`` serial fallback, both on the
-    same ``shards`` stripes — with a registry bound, and checks:
-
-    * the ``shard.all.*`` aggregates of the two runs are **equal** for
-      every deterministic (non-timing) counter — the multiprocess merge
-      neither loses nor double-counts work;
-    * the answers of the two runs are bit-identical;
-    * whenever a cycle maintains every stripe, the per-stripe population
-      gauges sum to exactly ``NP`` — no object is dropped or counted in
-      two stripes;
-    * maintenance accounting closes: every maintained (stripe, cycle)
-      is exactly one of a fresh grid build or an in-place grid update;
-    * the answering kernel's candidates per query are within
-      ``tolerance_factor`` of the §3.1 cost-model prediction evaluated
-      at the stripe grids' ~1-object-per-cell resolution
-      (``delta = 1/sqrt(NP)``).
-    """
-    import numpy as np
-
-    from ..engines.registry import build_system
-    from .registry import MetricsRegistry
-    from .remote import merged_worker_counters
-
-    rng = np.random.default_rng(seed)
-    queries = rng.random((n_queries, 2))
-    trace = [rng.random((n_objects, 2))]
-    for _ in range(cycles):
-        step = np.clip(
-            trace[-1] + rng.normal(0.0, 0.01, (n_objects, 2)), 0.0, 1.0
-        )
-        trace.append(step)
-
-    def run(n_workers: int):
-        registry = MetricsRegistry()
-        system = build_system(
-            "sharded",
-            k,
-            queries,
-            workers=n_workers,
-            shards=shards,
-            oversubscribe=True,
-            registry=registry,
-        )
-        answers = []
-        population_violations = 0
-        try:
-            for i, positions in enumerate(trace):
-                maintained_before = registry.counter("shard.all.shard.task.maintained")
-                packaged = system.load(positions) if i == 0 else system.tick(positions)
-                answers.append(tuple(query.neighbors for query in packaged))
-                maintained = (
-                    registry.counter("shard.all.shard.task.maintained")
-                    - maintained_before
-                )
-                if maintained == shards:
-                    # Every stripe refreshed this cycle, so every
-                    # per-stripe population gauge is current.
-                    total = sum(
-                        registry.gauge("shard.stripe.objects", labels={"shard": s})
-                        for s in range(shards)
-                    )
-                    if total != n_objects:
-                        population_violations += 1
-        finally:
-            system.close()
-        return registry, answers, population_violations
-
-    serial_reg, serial_answers, serial_pop_bad = run(0)
-    pool_reg, pool_answers, pool_pop_bad = run(workers)
-
-    def deterministic(registry) -> Dict[str, float]:
-        return {
-            name: value
-            for name, value in merged_worker_counters(registry).items()
-            if not name.endswith(".seconds")
-        }
-
-    serial_counters = deterministic(serial_reg)
-    pool_counters = deterministic(pool_reg)
-    mismatched = sum(
-        1
-        for name in set(serial_counters) | set(pool_counters)
-        if serial_counters.get(name) != pool_counters.get(name)
-    )
-    answer_mismatches = sum(
-        1 for a, b in zip(serial_answers, pool_answers) if a != b
-    )
-    accounting_gap = abs(
-        pool_counters.get("shard.task.maintained", 0.0)
-        - pool_counters.get("shard.task.fresh_builds", 0.0)
-        - pool_counters.get("shard.task.updates", 0.0)
-    )
-    predicted = predict_overhaul_counters(
-        n_objects, k, delta=1.0 / math.sqrt(n_objects)
-    )
-    answered = pool_counters.get("fast.answer.queries", 0.0)
-    candidates_per_query = (
-        pool_counters.get("fast.answer.candidates", 0.0) / answered
-        if answered
-        else 0.0
-    )
-    checks = (
-        QuantityCheck("worker_vs_serial_counter_mismatches", float(mismatched), 0.0, 0.0),
-        QuantityCheck("worker_vs_serial_answer_mismatches", float(answer_mismatches), 0.0, 0.0),
-        QuantityCheck(
-            "stripe_population_violations",
-            float(serial_pop_bad + pool_pop_bad),
-            0.0,
-            0.0,
-        ),
-        QuantityCheck("maintain_accounting_gap", accounting_gap, 0.0, 0.0),
-        QuantityCheck(
-            "candidates/query",
-            candidates_per_query,
-            predicted["objects_per_query"],
-            tolerance_factor,
-        ),
-    )
-    return ValidationReport(
-        checks,
-        params={
-            "NP": n_objects,
-            "NQ": n_queries,
-            "k": k,
-            "cycles": cycles,
-            "workers": workers,
-            "shards": shards,
-        },
-    )

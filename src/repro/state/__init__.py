@@ -1,9 +1,9 @@
-"""The world-state plane: one epoch-versioned store behind every layer.
+"""The world-state plane: one epoch-tagged store behind every layer.
 
 :class:`WorldStore` owns the columnar world state (positions,
 membership, external-id remap, query set); :class:`WorldSnapshot` is
 the read-only zero-copy view one ``publish()`` hands to every consumer.
-See DESIGN.md §11 for the ownership diagram and epoch lifecycle.
+See DESIGN.md §10 for the ownership diagram and epoch lifecycle.
 """
 
 from .snapshot import (

@@ -2,9 +2,8 @@
 
 A :class:`WorldSnapshot` is the read-only face of one published store
 epoch: the paper's ``OBJ_snapshot`` (§3) as a zero-copy view instead of
-a private array per layer.  The buffer, the session, the cycle
-pipeline, every engine and the shard workers all read the *same*
-``writeable=False`` view; the owning :class:`~repro.state.store.WorldStore`
+a private array per layer.  The session, the cycle pipeline and every
+engine all read the *same* ``writeable=False`` view; the owning :class:`~repro.state.store.WorldStore`
 keeps writing into its staging buffer and never mutates a published
 epoch, which is what makes sharing safe.
 
@@ -13,9 +12,7 @@ returns the read-only positions view without copying, so engine code
 written against plain ``(N, 2)`` arrays keeps working unchanged.  A raw
 ndarray entering the pipeline is checked against the object region and
 wrapped by :func:`as_world_snapshot` into an *anonymous* snapshot
-(``epoch is None``): correctness-neutral, but epoch-keyed fast paths
-(the sharded engine's shared-memory reuse) stay off because nothing
-vouches for the array's stability.
+(``epoch is None``).
 
 The churn delta records (:class:`QueryDelta` / :class:`ObjectDelta`)
 live here too — they are state-plane records produced by the store and
@@ -110,17 +107,13 @@ class WorldSnapshot:
     """One consistent, immutable view of the world's positions.
 
     ``positions`` is always a read-only ``(rows, 2)`` float64 view —
-    writing through it raises.  ``epoch`` / ``token`` identify which
-    store publication the view belongs to: equal ``(token, epoch)``
-    pairs are guaranteed to be the *same bytes*, so consumers may key
-    caches (shared-memory segments, alias checks) on them.  Anonymous
-    snapshots (``epoch is None``) carry no such guarantee and must be
-    treated as fresh content every time.
+    writing through it raises.  ``epoch`` is the store publication the
+    view belongs to, or ``None`` for an anonymous snapshot of a raw
+    array.
     """
 
     positions: np.ndarray
     epoch: Optional[int] = None
-    token: int = 0
     queries: Optional[np.ndarray] = None
 
     def __post_init__(self) -> None:
@@ -148,11 +141,6 @@ class WorldSnapshot:
     def n_rows(self) -> int:
         return len(self.positions)
 
-    @property
-    def versioned(self) -> bool:
-        """Whether the view is pinned to a store epoch (content-stable)."""
-        return self.epoch is not None
-
 
 #: What the pipeline accepts: a published snapshot or any (N, 2) array-like.
 PositionsLike = Union[WorldSnapshot, np.ndarray]
@@ -163,8 +151,8 @@ def as_world_snapshot(positions: PositionsLike) -> WorldSnapshot:
 
     Raw arrays are wrapped as *anonymous* snapshots: the positions
     become a read-only view (the caller's array object is not frozen —
-    only the view handed to engines is), ``epoch`` stays ``None``, and
-    no content-stability fast path applies.  A raw array must hold only
+    only the view handed to engines is) and ``epoch`` stays ``None``.
+    A raw array must hold only
     points of :data:`OBJECT_REGION` (:func:`check_object_points`), so an
     out-of-region or NaN row raises before any engine runs.  Published
     snapshots skip that check: the session checked every point on its

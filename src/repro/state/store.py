@@ -1,4 +1,4 @@
-"""The epoch-versioned columnar world store.
+"""The epoch-tagged columnar world store.
 
 One :class:`WorldStore` owns everything the paper's §3 system model
 calls world state: the current positions of the object universe, the
@@ -7,7 +7,7 @@ remap) and the query set.  Writers — the report buffer, the session's
 streaming motion path, the churn admission — all ingest into the
 *staging* epoch; :meth:`WorldStore.publish` flips it into a read-only
 :class:`~repro.state.snapshot.WorldSnapshot` that every downstream
-consumer (pipeline, engines, shard workers) shares zero-copy.
+consumer (pipeline, engines) shares zero-copy.
 
 **Double buffering.**  The store keeps two ``(cap, 2)`` position
 buffers.  Writes land in the staging buffer; the published buffer is
@@ -25,10 +25,7 @@ asserts.
 
 **Epochs.**  ``publish()`` bumps the epoch only when something was
 written since the last flip; an unchanged world returns the *same*
-snapshot object (same epoch), so consumers keying caches on
-``(token, epoch)`` — e.g. the shard pool's shared-memory segments —
-skip re-serialization for free.  ``token`` is unique per store, so
-epochs from different stores can never collide in such caches.
+snapshot object (same epoch).
 
 Structural events (capacity growth, compaction) allocate a fresh buffer
 pair; retired buffers are never written again, so snapshots already
@@ -37,7 +34,6 @@ handed out stay valid for as long as anyone holds them.
 
 from __future__ import annotations
 
-import itertools
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple, Union
 
 import numpy as np
@@ -48,9 +44,6 @@ from .snapshot import ObjectDelta, WorldSnapshot, _frozen_view
 
 #: Universe capacity floor; also the compaction floor (never shrink below).
 _MIN_CAP = 64
-
-#: Per-process store identities; epoch caches key on (token, epoch).
-_TOKENS = itertools.count(1)
 
 
 class WorldStore:
@@ -79,7 +72,6 @@ class WorldStore:
         self.registry: MetricsRegistry = (
             registry if registry is not None else NULL_REGISTRY
         )
-        self.token = next(_TOKENS)
         n0 = 0
         if initial_positions is not None:
             initial_positions = np.asarray(initial_positions, dtype=np.float64)
@@ -240,8 +232,7 @@ class WorldStore:
         """Flip the staging epoch into a read-only snapshot.
 
         With no writes since the last flip this returns the *same*
-        snapshot object (same epoch) — consumers may use ``(token,
-        epoch)`` equality as a bytes-identical guarantee.  Otherwise the
+        snapshot object (same epoch).  Otherwise the
         flip carries forward only the rows the previous epoch wrote and
         this one did not, bumps the epoch, and freezes the new buffer.
         """
@@ -260,7 +251,6 @@ class WorldStore:
         self._snapshot = WorldSnapshot(
             positions=_frozen_view(self._published),
             epoch=self._epoch,
-            token=self.token,
             queries=self._queries,
         )
         registry.inc("state.publishes")
@@ -283,7 +273,6 @@ class WorldStore:
             return WorldSnapshot(
                 positions=snap.positions[: self._top],
                 epoch=snap.epoch,
-                token=snap.token,
                 queries=snap.queries,
             )
         gathered = snap.positions[self.live_rows()]

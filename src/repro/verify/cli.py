@@ -130,11 +130,7 @@ def cmd_replay(args: argparse.Namespace) -> int:
 def cmd_diff(args: argparse.Namespace) -> int:
     registry = MetricsRegistry()
     workload = load_trace(args.trace)
-    specs = make_specs(
-        _parse_methods(args.methods),
-        overrides=workload.options,
-        sharded_workers=args.sharded_workers,
-    )
+    specs = make_specs(_parse_methods(args.methods), overrides=workload.options)
     report = run_differential(workload, specs, registry=registry)
     for error in report.errors:
         print(f"run error: {error}", file=sys.stderr)
@@ -158,11 +154,7 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
         seed = args.seed + index
         scenario = make_scenario(seed)
         registry.inc("verify.fuzz.scenarios")
-        specs = make_specs(
-            methods,
-            overrides=scenario.engine_overrides,
-            sharded_workers=args.sharded_workers,
-        )
+        specs = make_specs(methods, overrides=scenario.engine_overrides)
         report = run_differential(scenario.workload, specs, registry=registry)
         if report.errors:
             failures += 1
@@ -278,14 +270,12 @@ def build_parser() -> argparse.ArgumentParser:
         default="all",
         help=f"comma list or 'all' (= {','.join(EXACT_METHODS)})",
     )
-    p.add_argument("--sharded-workers", type=int, default=0)
     p.set_defaults(fn=cmd_diff)
 
     p = sub.add_parser("fuzz", help="differential fuzzing over seeded scenarios")
     p.add_argument("--scenarios", type=int, default=20)
     p.add_argument("--seed", type=int, default=0, help="first scenario seed")
     p.add_argument("--methods", default="all")
-    p.add_argument("--sharded-workers", type=int, default=0)
     p.add_argument("--artifacts", default="artifacts")
     p.add_argument("--shrink-budget", type=int, default=250)
     p.add_argument(

@@ -6,9 +6,8 @@ same float64 distances — for any workload.  This module operationalizes
 that claim: :func:`run_workload` replays a recorded
 :class:`~repro.verify.trace.Workload` against one engine and collects
 its canonical per-cycle answers; :func:`run_differential` runs the same
-workload across a set of :class:`MethodSpec` entries (including
-``sharded`` with live worker processes) and reports the **first
-divergence** — cycle, query, both answer lists, and each engine's
+workload across a set of :class:`MethodSpec` entries and reports the
+**first divergence** — cycle, query, both answer lists, and each engine's
 per-cycle candidate/scan counters for that cycle.
 
 Comparison is ``(distance, id)``-tuple exact.  Distances are float64
@@ -39,7 +38,6 @@ EXACT_METHODS: Tuple[str, ...] = (
     "hierarchical",
     "rtree",
     "fast_grid",
-    "sharded",
 )
 
 #: Counter-name substrings worth surfacing next to a divergence.
@@ -65,14 +63,12 @@ def make_specs(
     methods: Sequence[str],
     *,
     overrides: Optional[Mapping[str, object]] = None,
-    sharded_workers: int = 0,
 ) -> List[MethodSpec]:
     """Build specs for method names, applying per-method-valid overrides.
 
     ``"all"`` expands to :data:`EXACT_METHODS`.  ``overrides`` (e.g. an
     ``ncells`` sweep value) are applied only to methods whose config
-    declares the field; ``sharded_workers`` configures the sharded spec
-    (0 = in-process serial fallback — same stripe code path, no pool).
+    declares the field.
     """
     from ..core.config import METHOD_CONFIGS
 
@@ -90,11 +86,6 @@ def make_specs(
         for key, value in (overrides or {}).items():
             if key in valid:
                 opts[key] = value
-        if name == "sharded":
-            opts.setdefault("workers", sharded_workers)
-            opts.setdefault("shards", 2)
-            if sharded_workers > 0:
-                opts.setdefault("oversubscribe", True)
         specs.append(MethodSpec(name, opts))
     return specs
 

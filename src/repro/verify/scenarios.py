@@ -17,8 +17,8 @@ when they are wrong:
 * **churn bursts** — occasional cycles join or retire a large batch at
   once, stressing delta admission, compaction, and rebuild paths;
 * **teleports** — objects jump across the unit square, invalidating any
-  stale cross-cycle state (a previous answer's §3.2 bound, a stripe's
-  stored cell assignment);
+  stale cross-cycle state (a previous answer's §3.2 bound, a stored
+  cell assignment);
 * **motion profiles** — ``uniform`` lattice random walks, ``skew``
   drift toward a moving hotspot (grid-load imbalance), and ``roadnet``
   axis-aligned movement along lattice lines;

@@ -6,17 +6,14 @@ cycles of interleaved query registration/drops, object joins/leaves, and
 motion must report answers *bit-identical* — same neighbor IDs in the
 same order, same float64 distances — to a throwaway engine built fresh
 every cycle from the surviving population.  Any drift in the incremental
-delta paths (a stale §3.2 bound, mis-remapped rows after compaction, a
-stripe cache surviving an epoch bump) shows up here as a first-class
+delta paths (a stale §3.2 bound, mis-remapped rows after compaction)
+shows up here as a first-class
 failure with the cycle number attached.
 
 Positions live on a coarse lattice so duplicate query-object distances
 are common: the equality of answers therefore also pins down the
 (distance, id) tie-break through every churn path, not just the metric.
 """
-
-import os
-import signal
 
 import numpy as np
 import pytest
@@ -44,7 +41,6 @@ def drive_churn(
     baseline_opts=None,
     cycles=200,
     seed=2005,
-    kill_worker_at=None,
 ):
     """Run the dual-driver: churned session vs per-cycle fresh engine.
 
@@ -87,9 +83,6 @@ def drive_churn(
                 # --- motion (streaming, not part of the admission set) --
                 _, live_pos = session.population()
                 session.update_positions(_lattice_walk(rng, live_pos))
-
-            if kill_worker_at is not None and cycle == kill_worker_at:
-                os.kill(session.engine.worker_pids()[0], signal.SIGKILL)
 
             answers = session.tick()
 
@@ -144,91 +137,15 @@ def test_churn_differential_query_indexing_and_hierarchical():
 
 @pytest.mark.slow
 def test_churn_differential_all_methods_long():
-    """Nightly tier: 400 churn cycles across every exact engine at once,
-    sharded running live worker processes."""
+    """Nightly tier: 400 churn cycles across every exact engine at once."""
     from repro.verify import churn_scenario, make_specs, run_differential
 
     workload = churn_scenario(11, k=K, cycles=400, lattice=LATTICE)
-    specs = make_specs(["all"], sharded_workers=2)
+    specs = make_specs(["all"])
     report = run_differential(workload, specs)
     assert report.ok, "\n".join(
         [d.describe() for d in report.divergences] + report.errors
     )
-
-
-def test_churn_matches_fresh_rebuild_sharded_serial():
-    drive_churn(
-        "sharded",
-        session_opts={"shards": 2, "workers": 0},
-        baseline_opts={"shards": 2, "workers": 0},
-    )
-
-
-def test_churn_matches_fresh_rebuild_sharded_workers():
-    # Fewer cycles: each one round-trips a process pool.  The serial and
-    # worker paths share run_shard_task, so the long run above covers the
-    # stripe logic; this run covers dispatch/shared-memory under churn.
-    drive_churn(
-        "sharded",
-        session_opts={"shards": 2, "workers": 2, "oversubscribe": True},
-        baseline_opts={"shards": 2, "workers": 0},
-        cycles=60,
-    )
-
-
-def test_churn_survives_worker_sigkill():
-    """SIGKILL a stripe worker mid-churn: the pool respawns it, the fresh
-    process rebuilds its stripe from the snapshot, and answers never
-    deviate from the fresh-engine oracle — before, during, or after."""
-    drive_churn(
-        "sharded",
-        session_opts={"shards": 2, "workers": 2, "oversubscribe": True},
-        baseline_opts={"shards": 2, "workers": 0},
-        cycles=40,
-        kill_worker_at=17,
-    )
-
-
-def test_churn_with_stripe_rebalancing():
-    """With rebalancing on and a population that drifts into one stripe,
-    the engine re-cuts its partition mid-run; answers must stay exact
-    because routing escalates past any partition."""
-    rng = np.random.default_rng(99)
-    with MonitoringSession(
-        "sharded",
-        k=K,
-        shards=3,
-        workers=0,
-        rebalance_threshold=1.5,
-    ) as session:
-        for oid in range(40):
-            session.join_object(oid, _lattice(rng, 1)[0])
-        for xy in _lattice(rng, 6):
-            session.register_query(xy)
-        session.tick()
-        for cycle in range(80):
-            ids, pos = session.population()
-            # Drift everything toward x=0: stripe loads skew hard.
-            pos = np.clip(pos - [0.01, 0.0], 0.0, 1.0).round(6)
-            session.update_positions(pos)
-            if cycle % 7 == 0:
-                session.join_object(1000 + cycle, _lattice(rng, 1)[0])
-            answers = session.tick()
-            ids, pos = session.population()
-            fresh = build_system(
-                "sharded", K, session.query_points(), shards=3, workers=0
-            )
-            try:
-                fresh_answers = fresh.load(pos)
-            finally:
-                fresh.close()
-            for row, handle in enumerate(session.handles()):
-                want = tuple(
-                    (int(ids[oid]), dist)
-                    for oid, dist in fresh_answers[row].neighbors
-                )
-                assert answers[handle].neighbors == want, f"cycle {cycle}"
-        assert session.engine.rebalances >= 1
 
 
 def test_compaction_preserves_answer_ids():

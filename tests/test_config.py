@@ -9,7 +9,7 @@ from repro.core.config import (
     HierarchicalConfig,
     ObjectIndexingConfig,
     RTreeConfig,
-    ShardedConfig,
+    TPRConfig,
     resolve_config,
 )
 from repro.errors import ConfigurationError
@@ -22,7 +22,7 @@ class TestRegistry:
     def test_every_method_has_a_config_class(self):
         expected = {
             "object_indexing", "query_indexing", "hierarchical", "rtree",
-            "brute_force", "fast_grid", "tpr", "sharded",
+            "brute_force", "fast_grid", "tpr",
         }
         assert set(METHOD_CONFIGS) == expected
         for name, cls in METHOD_CONFIGS.items():
@@ -43,10 +43,10 @@ class TestRegistry:
             assert field in message
 
     def test_merged_applies_overrides(self):
-        config = ShardedConfig(workers=4).merged(shards=8)
-        assert (config.workers, config.shards) == (4, 8)
+        config = TPRConfig(horizon=5.0).merged(max_entries=8)
+        assert (config.horizon, config.max_entries) == (5.0, 8)
         with pytest.raises(ConfigurationError):
-            config.merged(worker=2)
+            config.merged(max_entry=2)
 
     def test_resolve_config_paths(self):
         assert resolve_config("rtree").max_entries == 32
@@ -73,9 +73,9 @@ class TestDictRoundTrip:
             assert cls.from_dict(data) == config
 
     def test_round_trip_preserves_overrides(self):
-        config = ShardedConfig(workers=4, shards=8, seed_slack=0.25)
+        config = TPRConfig(horizon=5.0, max_entries=8, tau=0.5)
         clone = MethodConfig.from_dict(config.to_dict())
-        assert clone == config and isinstance(clone, ShardedConfig)
+        assert clone == config and isinstance(clone, TPRConfig)
 
     def test_from_dict_rejects_unknown_keys(self):
         with pytest.raises(ConfigurationError) as excinfo:
@@ -111,10 +111,10 @@ class TestDictRoundTrip:
         assert "'rtree'" in message and "'fast_grid'" in message
 
     def test_resolve_config_accepts_mapping(self):
-        config = resolve_config("sharded", {"method": "sharded", "workers": 2})
-        assert isinstance(config, ShardedConfig) and config.workers == 2
+        config = resolve_config("tpr", {"method": "tpr", "max_entries": 8})
+        assert isinstance(config, TPRConfig) and config.max_entries == 8
         with pytest.raises(ConfigurationError):
-            resolve_config("sharded", {"method": "rtree"})
+            resolve_config("tpr", {"method": "rtree"})
 
     def test_create_accepts_dict_config(self):
         system = build_system(
@@ -135,9 +135,6 @@ class TestCreate:
             ("fast_grid", "fast-grid", {}),
             ("fast_grid", "fast-grid", {"ncells": 8}),
             ("tpr", "tprtree/predictive", {}),
-            # oversubscribe makes the effective worker count (and so the
-            # engine name) independent of the CI box's core count.
-            ("sharded", "sharded/2w2s", {"oversubscribe": True}),
         ],
     )
     def test_create_builds_every_method(self, method, engine_name, options):
@@ -149,18 +146,18 @@ class TestCreate:
 
     def test_create_unknown_option_names_valid_fields(self):
         with pytest.raises(ConfigurationError) as excinfo:
-            build_system("sharded", 2, QUERIES, shardz=3)
-        assert "'shardz'" in str(excinfo.value)
-        assert "workers" in str(excinfo.value)
+            build_system("rtree", 2, QUERIES, max_entry=3)
+        assert "'max_entry'" in str(excinfo.value)
+        assert "max_entries" in str(excinfo.value)
 
     def test_create_with_config_block_and_override(self):
         system = build_system(
-            "sharded", 2, QUERIES,
-            config=ShardedConfig(workers=0, shards=3), seed_slack=0.1,
+            "rtree", 2, QUERIES,
+            config=RTreeConfig(maintenance="str_bulk"), max_entries=8,
         )
         with system:
             engine = system.engine
-            assert (engine.workers, engine.n_shards, engine.seed_slack) == (0, 3, 0.1)
+            assert (engine.maintenance, engine.max_entries) == ("str_bulk", 8)
 
     def test_factories_reject_positional_options(self):
         with pytest.raises(TypeError):
@@ -174,7 +171,6 @@ class TestCreate:
             ("hierarchical", {"delta": 0.1}),
             ("rtree", {"max_entry": 8}),
             ("fast_grid", {"workers": 2}),
-            ("sharded", {"ncells": 32}),
         ],
     )
     def test_factories_reject_unknown_kwargs(self, factory, bad_kwarg):
@@ -198,9 +194,9 @@ class TestBenchResolution:
         assert system.engine.name == "object-indexing/rebuild/overhaul"
 
     def test_build_system_accepts_registry_names_and_overrides(self):
-        system = build_system("sharded", 2, QUERIES, workers=0, shards=2)
+        system = build_system("fast_grid", 2, QUERIES, ncells=8)
         with system:
-            assert system.engine.name == "sharded/0w2s"
+            assert (system.engine.name, system.engine._ncells) == ("fast-grid", 8)
         with pytest.raises(ConfigurationError):
             build_system("object_overhaul", 2, QUERIES, ncell=64)
         with pytest.raises(ConfigurationError):

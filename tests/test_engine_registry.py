@@ -39,7 +39,7 @@ class TestRegistryCoverage:
             assert issubclass(cls, BaseEngine), method
 
     def test_unknown_method_lists_known(self):
-        with pytest.raises(ConfigurationError, match="sharded"):
+        with pytest.raises(ConfigurationError, match="fast_grid"):
             engine_class("nope")
 
     def test_engine_class_error_lists_every_method(self):
@@ -122,13 +122,10 @@ class TestUnifiedCycleTiming:
 
 class TestQuerySwapRegression:
     """Satellite: swapping queries between cycles must not leave stale
-    per-query incremental state (previous-answer seeds, kth-distance
-    routing) pointing at the old query positions."""
+    per-query incremental state (previous-answer bounds) pointing at the
+    old query positions."""
 
-    @pytest.mark.parametrize(
-        "method,options",
-        [("fast_grid", {}), ("sharded", {"workers": 0, "shards": 3})],
-    )
+    @pytest.mark.parametrize("method,options", [("fast_grid", {})])
     def test_swapped_queries_stay_exact(self, method, options):
         from repro.core.brute import brute_force_knn
 
@@ -152,22 +149,6 @@ class TestQuerySwapRegression:
                     assert answer.object_ids() == tuple(
                         oid for oid, _ in expected
                     ), f"{method} diverged after query swap on cycle {cycle}"
-
-    def test_sharded_seeds_dropped_on_set_queries(self):
-        from repro.shard.engine import ShardedGridEngine
-
-        rng = np.random.default_rng(42)
-        engine = ShardedGridEngine(3, rng.random((8, 2)), workers=0, shards=2)
-        try:
-            engine.load(rng.random((100, 2)))
-            engine.answer()
-            engine.maintain(rng.random((100, 2)))
-            engine.answer()
-            assert engine._prev_kth is not None
-            engine.set_queries(rng.random((8, 2)))
-            assert engine._prev_kth is None
-        finally:
-            engine.close()
 
 
 class TestFacadeCompatibility:

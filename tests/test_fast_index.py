@@ -18,11 +18,12 @@ from repro.core.brute import brute_force_knn
 from repro.core.fast_index import (
     CSRGrid,
     FastGridEngine,
+    batch_knn,
     cell_index,
     kth_smallest,
 )
 from repro.engines.registry import build_system
-from repro.errors import IndexStateError, NotEnoughObjectsError
+from repro.errors import ConfigurationError, IndexStateError, NotEnoughObjectsError
 from repro.motion import RandomWalkModel, make_dataset, make_queries
 from repro.obs.registry import MetricsRegistry
 from repro.service import MonitoringSession
@@ -41,21 +42,62 @@ def fast_answers(positions, queries, k, **kwargs):
     return engine.answer()
 
 
+def brute_rows(positions, queries, k, places=12):
+    """Brute-force ``(distance, id)`` rows, distances rounded.
+
+    Rounded because the oracle stores ``sqrt(d2)`` and re-squares, which
+    differs from the grid's direct ``d2`` in the final ulp.
+    """
+    return [
+        [(round(dist, places), i) for i, dist in brute_force_knn(positions, qx, qy, k)]
+        for qx, qy in queries
+    ]
+
+
+def knn_rows(result, places=12):
+    """:func:`brute_rows` form of one :func:`batch_knn` result."""
+    return [
+        [(round(float(np.sqrt(d2)), places), int(i)) for d2, i in zip(d2s, ids)]
+        for d2s, ids in zip(result.top_d2, result.top_ids)
+    ]
+
+
+def rounded(answers, places=12):
+    """:func:`brute_rows` form of a system's answers."""
+    return [
+        [(round(dist, places), object_id) for object_id, dist in answer.neighbors]
+        for answer in answers
+    ]
+
+
+def sitter_dataset(rng, n, ncells):
+    """Positions with objects exactly on cell boundaries, duplicate
+    coordinates (distance ties -> ID tie-breaks), and the corners."""
+    positions = rng.random((n, 2))
+    edges = np.arange(1, ncells) / ncells
+    m = min(n // 4, 4 * len(edges))
+    positions[:m, 0] = np.resize(edges, m)
+    positions[m : 2 * m, 1] = np.resize(edges, m)
+    positions[n // 2 : n // 2 + n // 4] = positions[: n // 4]
+    positions[-1] = [1.0, 1.0]
+    positions[-2] = [0.0, 0.0]
+    return positions
+
+
 def cells_of(csr, positions):
     """``(i, j)`` cells of ``positions`` rows by the grid's own geometry."""
-    x0, y0, x1, y1 = csr.region
-    ii = ((positions[:, 0] - x0) * (csr.nx / (x1 - x0))).astype(int)
-    jj = ((positions[:, 1] - y0) * (csr.ny / (y1 - y0))).astype(int)
-    return np.clip(ii, 0, csr.nx - 1), np.clip(jj, 0, csr.ny - 1)
+    ii = (positions[:, 0] * csr.nx).astype(int)
+    jj = (positions[:, 1] * csr.nx).astype(int)
+    return np.clip(ii, 0, csr.nx - 1), np.clip(jj, 0, csr.nx - 1)
 
 
 def assert_layout(csr, positions, members):
     """Every member sits once, in its own cell's slice, read through ``ids``."""
-    nx, ny = csr.nx, csr.ny
+    nx = csr.nx
     assert csr.cell_start[0] == 0
     assert csr.cell_start[-1] == len(members) == csr.n_objects
     assert sorted(csr.ids.tolist()) == sorted(members.tolist())
-    for flat in range(nx * ny):
+    for flat in range(nx * nx):
         lo, hi = csr.cell_start[flat], csr.cell_start[flat + 1]
         ii, jj = cells_of(csr, positions[csr.ids[lo:hi]])
         assert (ii == flat % nx).all() and (jj == flat // nx).all()
@@ -66,7 +108,7 @@ def assert_prefix_counts(csr, positions, members, rng):
     ii, jj = cells_of(csr, positions[members])
     for _ in range(25):
         ilo, ihi = sorted(rng.integers(0, csr.nx, 2))
-        jlo, jhi = sorted(rng.integers(0, csr.ny, 2))
+        jlo, jhi = sorted(rng.integers(0, csr.nx, 2))
         want = int(np.sum((ii >= ilo) & (ii <= ihi) & (jj >= jlo) & (jj <= jhi)))
         got = csr.count_in_rects(
             np.array([ilo]), np.array([jlo]), np.array([ihi]), np.array([jhi])
@@ -119,25 +161,211 @@ class TestCSRGrid:
         assert csr.ids.tolist() == [1, 0, 2]
 
     def test_stripe_grid_with_vacant_rows(self):
-        """A sharded stripe: non-unit region, nx != ny, a member subset.
+        """A member subset of the unit square beside vacant rows.
 
         Vacant rows hold the ``(-1, -1)`` sentinel and are not members;
-        the members are the rows inside the stripe.
+        the grid indexes exactly the member rows.
         """
         rng = np.random.default_rng(6)
         positions = rng.random((800, 2))
         positions[rng.choice(800, 60, replace=False)] = -1.0
-        region = (0.25, 0.0, 0.5, 1.0)
-        members = np.flatnonzero(
-            (positions[:, 0] >= 0.25) & (positions[:, 0] < 0.5)
-        )
-        csr = CSRGrid(positions, 3, 11, region=region, member_idx=members)
-        assert (csr.nx, csr.ny, csr.region) == (3, 11, region)
+        members = np.flatnonzero(positions[:, 0] >= 0.0)
+        csr = CSRGrid(positions, 11, member_idx=members)
         assert_layout(csr, positions, members)
         assert_prefix_counts(csr, positions, members, rng)
         j = 7
-        lo, hi = csr.cell_start[j * 3], csr.cell_start[j * 3 + 3]
+        lo, hi = csr.cell_start[j * 11], csr.cell_start[j * 11 + 11]
         assert (cells_of(csr, positions[csr.ids[lo:hi]])[1] == j).all()
+
+    def test_hole_free_members_match_a_grid_over_the_prefix(self):
+        # The session's universe at full occupancy: members [0, n) of a
+        # larger array whose vacant tail holds the sentinel.
+        rng = np.random.default_rng(8)
+        positions = np.full((1024, 2), -1.0)
+        positions[:700] = rng.random((700, 2))
+        csr = CSRGrid(positions, 9, member_idx=np.arange(700))
+        plain = CSRGrid(positions[:700].copy(), 9)
+        np.testing.assert_array_equal(csr.ids, plain.ids)
+        np.testing.assert_array_equal(csr.cell_start, plain.cell_start)
+        np.testing.assert_array_equal(csr.prefix, plain.prefix)
+        assert csr.n_objects == 700
+
+    @pytest.mark.parametrize("members", [[0, 1, 2, 4], [1, 2, 3]])
+    def test_members_with_holes_are_gathered(self, members):
+        rng = np.random.default_rng(9)
+        positions = rng.random((5, 2))
+        vacant = np.setdiff1d(np.arange(5), members)
+        positions[vacant] = -1.0
+        members = np.array(members)
+        csr = CSRGrid(positions, 2, member_idx=members)
+        assert_layout(csr, positions, members)
+        queries = rng.random((4, 2))
+        got = batch_knn(csr, queries[:, 0], queries[:, 1], 3)
+        for q, (qx, qy) in enumerate(queries):
+            want = lexicographic_knn(positions[members], qx, qy, 3)
+            assert [int(members[i]) for i, _ in want] == got.top_ids[q].tolist()
+
+    def test_membership_churn_matches_fresh_grid(self):
+        # The member set changes between updates, and the updated grid
+        # must answer exactly like a grid built from scratch over the new
+        # members.
+        rng = np.random.default_rng(11)
+        n = 3000
+        positions = rng.random((n, 2))
+        members = np.flatnonzero(positions[:, 0] < 0.5)
+        grid = CSRGrid(positions, 16, member_idx=members)
+        for _ in range(10):
+            positions = positions.copy()
+            movers = rng.choice(n, 200, replace=False)
+            positions[movers] = rng.random((200, 2))
+            members = np.flatnonzero(positions[:, 0] < 0.5)
+            grid.update(positions, members)
+            assert grid.n_objects == len(members)
+            fresh = CSRGrid(positions, 16, member_idx=members)
+            qx = rng.random(10) * 0.5
+            qy = rng.random(10)
+            got = batch_knn(grid, qx, qy, 4)
+            want = batch_knn(fresh, qx, qy, 4)
+            np.testing.assert_array_equal(got.top_ids, want.top_ids)
+            np.testing.assert_array_equal(got.top_d2, want.top_d2)
+
+    def test_in_place_rewrites_stay_exact(self):
+        # The grid reads coordinates through a view, so an array rewritten
+        # in place before each update is indexed afresh.
+        rng = np.random.default_rng(13)
+        positions = rng.random((1000, 2))
+        grid = CSRGrid(positions, 10, member_idx=np.arange(1000))
+        for _ in range(3):
+            positions[rng.choice(1000, 10, replace=False)] = rng.random((10, 2))
+            grid.update(positions, np.arange(1000))
+            queries = rng.random((8, 2))
+            got = batch_knn(grid, queries[:, 0], queries[:, 1], 5)
+            assert knn_rows(got) == brute_rows(positions, queries, 5)
+
+    def test_population_resize_rebuilds(self):
+        rng = np.random.default_rng(17)
+        grid = CSRGrid(rng.random((100, 2)), 4)
+        positions = rng.random((250, 2))
+        grid.update(positions, np.arange(250))
+        assert grid.n_objects == 250
+        queries = rng.random((6, 2))
+        got = batch_knn(grid, queries[:, 0], queries[:, 1], 7)
+        assert knn_rows(got) == brute_rows(positions, queries, 7)
+
+
+class TestGridWalk:
+    """A grid updated in place over a 50-cycle walk answers like brute force.
+
+    25 cycles of fast reflecting-boundary motion (every object moves),
+    then 25 where about 1% of objects move; the query set is swapped
+    mid-run.  Objects sit on cell boundaries and on duplicate
+    coordinates, so distance ties fall to the ID tie-break.
+    """
+
+    N, NQ, K, SWAP_AT = 400, 25, 6, 30
+
+    @pytest.fixture(scope="class")
+    def snapshots(self):
+        rng = np.random.default_rng(42)
+        current = sitter_dataset(rng, self.N, 20)
+        snaps = [current]
+        fast = RandomWalkModel(vmax=0.2, boundary="reflect", seed=1)
+        for _ in range(25):
+            current = fast.step(current)
+            snaps.append(current)
+        slow = RandomWalkModel(
+            vmax=0.05, boundary="reflect", seed=2, update_fraction=0.01
+        )
+        for _ in range(25):
+            current = slow.step(current)
+            snaps.append(current)
+        return snaps
+
+    @pytest.fixture(scope="class")
+    def queries(self):
+        rng = np.random.default_rng(43)
+        first = rng.random((self.NQ, 2))
+        first[0] = [0.5, 0.5]     # exactly on a cell corner
+        first[1] = [0.1, 0.9]
+        return first, rng.random((self.NQ, 2))
+
+    @pytest.mark.parametrize(
+        "ncells, scipy",
+        [(5, True), (10, True), (31, True), (10, False)],
+        ids=["coarse-grid", "default-grid", "fine-grid", "argsort"],
+    )
+    def test_grid_walk_matches_brute_force(
+        self, snapshots, queries, monkeypatch, ncells, scipy
+    ):
+        # The argsort case forces the fallback grouping, so both grouping
+        # implementations face the full walk wherever SciPy is installed.
+        monkeypatch.setattr(fast_index, "_USE_SCIPY", scipy and fast_index._USE_SCIPY)
+        grid = CSRGrid(snapshots[0], ncells, member_idx=np.arange(self.N))
+        for cycle, positions in enumerate(snapshots):
+            if cycle:
+                grid.update(positions, np.arange(self.N))
+            q = queries[0] if cycle < self.SWAP_AT else queries[1]
+            got = batch_knn(grid, q[:, 0], q[:, 1], self.K)
+            assert knn_rows(got) == brute_rows(positions, q, self.K), cycle
+
+    def test_fast_grid_walk_matches_brute_force(self, snapshots, queries):
+        # The same walk through the fast_grid system, whose previous
+        # answers bound each query's radius: the swap must drop them.
+        systems = [build_system(m, self.K, queries[0]) for m in ("fast_grid", "brute_force")]
+        answers = [rounded(system.load(snapshots[0])) for system in systems]
+        assert answers[0] == answers[1]
+        for cycle, positions in enumerate(snapshots[1:], start=1):
+            if cycle == self.SWAP_AT:
+                for system in systems:
+                    system.set_queries(queries[1])
+            answers = [rounded(system.tick(positions)) for system in systems]
+            assert answers[0] == answers[1], cycle
+
+    def test_boundary_heavy_walk_matches_brute_force(self):
+        # Objects on the quarter lines and on duplicate coordinates, moved
+        # by clipped Gaussian steps: fast_grid's answers equal brute
+        # force's, ties included.
+        rng = np.random.default_rng(11)
+        positions = rng.random((self.N, 2))
+        positions[:24, 0] = np.resize([0.25, 0.5, 0.75], 24)
+        positions[self.N // 2 : 3 * self.N // 4] = positions[: self.N // 4]
+        positions[-1] = [1.0, 1.0]
+        positions[-2] = [0.0, 0.0]
+        queries = rng.random((self.NQ, 2))
+        queries[0] = [0.5, 0.5]
+        queries[1] = [0.25, 0.75]
+        systems = [build_system(m, self.K, queries) for m in ("fast_grid", "brute_force")]
+        answers = [rounded(system.load(positions)) for system in systems]
+        assert answers[0] == answers[1]
+        for _ in range(50):
+            positions = np.clip(positions + rng.normal(0.0, 0.01, positions.shape), 0.0, 1.0)
+            answers = [rounded(system.tick(positions)) for system in systems]
+            assert answers[0] == answers[1]
+
+
+class TestBatchKNNContracts:
+    def test_not_enough_objects(self):
+        positions = np.random.default_rng(0).random((3, 2))
+        with pytest.raises(NotEnoughObjectsError):
+            batch_knn(CSRGrid(positions, 2), [0.5], [0.5], 5)
+
+    def test_no_queries(self):
+        grid = CSRGrid(np.random.default_rng(0).random((10, 2)), 3)
+        result = batch_knn(grid, np.empty(0), np.empty(0), 2)
+        assert result.top_ids.shape == (0, 2)
+
+    def test_rejects_bad_options(self):
+        positions = np.random.default_rng(0).random((4, 2))
+        with pytest.raises(ConfigurationError):
+            CSRGrid(np.zeros((4, 3)), 4)
+        with pytest.raises(ConfigurationError):
+            CSRGrid(positions, 0)
+
+    def test_delta_index_reexports_the_kernel(self):
+        # The tick benchmark's trace wraps batch_knn in this module too.
+        from repro.core import delta_index
+
+        assert delta_index.batch_knn is fast_index.batch_knn
 
 
 class TestFastEngineExactness:
@@ -377,7 +605,7 @@ def _knife_edge_cases(n, count, seed):
     radius = np.sqrt(d * d)
     right = ox > qx
     edge = np.where(right, qx + radius, qx - radius)
-    shortfall = cell_index(ox, 0.0, 1.0, n) - cell_index(edge, 0.0, 1.0, n)
+    shortfall = cell_index(ox, n) - cell_index(edge, n)
     miss = np.where(right, shortfall > 0, shortfall < 0)
     hits = np.flatnonzero(miss)[:count]
     assert len(hits) == count, "seed yields too few knife-edge cases"

@@ -220,36 +220,6 @@ class TestBackpressure:
                 "service.admission_deferred", {"kind": "object"}
             ) == 1.0
 
-    def test_deferred_delta_readmits_across_worker_respawn(self):
-        """Backpressure + fault tolerance: a join deferred while the
-        admission set was full must re-admit exactly once even when a
-        sharded stripe worker is SIGKILLed (and respawned) in between."""
-        import os
-        import signal
-
-        with MonitoringSession(
-            "sharded",
-            k=1,
-            shards=2,
-            workers=2,
-            oversubscribe=True,
-            max_pending_deltas=2,
-        ) as s:
-            s.join_object(0, (0.1, 0.1))
-            s.join_object(1, (0.9, 0.9))
-            assert isinstance(s.join_object(2, (0.5, 0.5)), AdmissionDeferred)
-            s.tick()
-            os.kill(s.engine.worker_pids()[0], signal.SIGKILL)
-            assert s.join_object(2, (0.5, 0.5)) is None  # retry admits
-            h = s.register_query((0.5, 0.5))
-            ans = s.tick()  # pool respawns the stripe, then answers
-            assert ans[h].neighbors == ((2, 0.0),)
-            assert s.n_live_objects == 3
-            with pytest.raises(ConfigurationError):
-                s.join_object(2, (0.5, 0.5))
-            s.tick()
-            assert s.n_live_objects == 3
-
 
 class TestPositions:
     def test_move_pending_join_updates_admission_point(self):
@@ -492,22 +462,6 @@ class TestResourceManagement:
         s.close()
         s.close()
 
-    def test_context_manager_closes_worker_pool(self):
-        with MonitoringSession("sharded", k=2, shards=2, workers=2) as s:
-            seed(s, n=8)
-            h = s.register_query((0.5, 0.5))
-            assert len(s.tick()[h].neighbors) == 2
-            pids = s.engine.worker_pids()
-        import os, errno
-
-        for pid in pids:
-            try:
-                os.kill(pid, 0)
-                alive = True
-            except OSError as exc:
-                alive = exc.errno == errno.EPERM  # exists, other owner
-            assert not alive, f"worker {pid} survived close()"
-
 
 def _wrong_answers(session, answers):
     """Queries whose session answer differs from brute force, ties included."""
@@ -527,9 +481,8 @@ class TestFailedTick:
 
     @pytest.mark.parametrize("method", EXACT_METHODS)
     def test_failed_rebuild_is_retried(self, method, monkeypatch):
-        options = {"workers": 0} if method == "sharded" else {}
         rng = np.random.default_rng(21)
-        with MonitoringSession(method, k=5, **options) as s:
+        with MonitoringSession(method, k=5) as s:
             for oid, point in enumerate(rng.random((2000, 2))):
                 s.join_object(oid, point)
             handles = [s.register_query(q) for q in rng.random((30, 2))]

@@ -1,24 +1,22 @@
 """World-state plane: epoch discipline, immutability, and zero-copy.
 
 The :class:`~repro.state.WorldStore` is the single owner of world state;
-everything downstream — session, pipeline, engines, shard workers —
-shares its published snapshots zero-copy.  Its staging epoch is the
+everything downstream — session, pipeline, engines — shares its
+published snapshots zero-copy.  Its staging epoch is the
 paper's report buffer ``OBJ_curr``; ``publish()`` takes ``OBJ_snapshot``.  These tests pin
 down the contracts that make that safe:
 
 * a published :class:`~repro.state.WorldSnapshot` is immutable — writing
   through it raises;
 * ``publish()`` bumps the epoch monotonically, and an unchanged world
-  republishes the *same* snapshot object so ``(token, epoch)`` equality
-  is a bytes-identical guarantee;
+  republishes the *same* snapshot object;
 * the double-buffer carry-forward keeps sparse writers correct across
   epochs while full-motion steady state syncs nothing;
 * a 100-cycle mixed-churn run through the store stays bit-identical to
-  a fresh-engine oracle on every registry engine, serial and workers=2
-  (including one worker SIGKILL);
+  a fresh-engine oracle;
 * a steady-state cycle performs zero full position-array copies between
   store -> session -> pipeline -> engine, asserted via the ``state.*``
-  counters, and the shard pool skips re-serializing an unchanged epoch.
+  counters.
 """
 
 import numpy as np
@@ -61,7 +59,7 @@ class TestSnapshotImmutability:
     def test_anonymous_shim_does_not_freeze_caller_array(self):
         raw = np.array([[0.1, 0.2], [0.3, 0.4]])
         world = as_world_snapshot(raw)
-        assert world.epoch is None and not world.versioned
+        assert world.epoch is None
         with pytest.raises(ValueError):
             world.positions[0, 0] = 0.9
         raw[0, 0] = 0.9  # the caller's own array stays writable
@@ -92,8 +90,8 @@ class TestRawArrayRegionCheck:
 
     @pytest.mark.parametrize(
         "method,options",
-        [("fast_grid", {"ncells": 10}), ("sharded", {"workers": 0})],
-        ids=["fast_grid", "sharded"],
+        [("fast_grid", {"ncells": 10})],
+        ids=["fast_grid"],
     )
     @pytest.mark.parametrize("bad", ["far", "nan"])
     def test_out_of_region_rows_raise_before_any_engine_runs(
@@ -140,11 +138,7 @@ class TestEpochDiscipline:
         first = store.publish()
         again = store.publish()
         assert again is first
-        assert (again.token, again.epoch) == (first.token, first.epoch)
-
-    def test_tokens_distinguish_stores(self):
-        a, b = WorldStore(capacity=4), WorldStore(capacity=4)
-        assert a.token != b.token
+        assert again.epoch == first.epoch
 
     def test_old_snapshots_stay_frozen_at_their_epoch(self):
         store = WorldStore(np.array([[0.1, 0.2], [0.3, 0.4]]))
@@ -239,18 +233,6 @@ def test_store_churn_bit_identical_100_cycles(method):
     drive_churn(method, cycles=100)
 
 
-def test_store_churn_bit_identical_sharded_workers_with_sigkill():
-    """Same contract with workers=2, shared-memory epoch reuse, and one
-    worker SIGKILLed mid-run."""
-    drive_churn(
-        "sharded",
-        session_opts={"shards": 2, "workers": 2, "oversubscribe": True},
-        baseline_opts={"shards": 2, "workers": 0},
-        cycles=100,
-        kill_worker_at=41,
-    )
-
-
 class TestZeroCopySteadyState:
     @pytest.mark.parametrize("method", ["fast_grid", "object_indexing"])
     def test_no_full_copies_per_cycle(self, method):
@@ -285,34 +267,3 @@ class TestZeroCopySteadyState:
         assert a.epoch == b.epoch
         assert np.shares_memory(a.positions, b.positions)
         assert store.full_copies == 0
-
-
-class TestShardEpochReuse:
-    def test_unchanged_epoch_skips_shared_memory_write(self):
-        """Ticking an unchanged world re-dispatches to workers but never
-        re-serializes the snapshot: the pool keys its shared-memory
-        segment on ``(store token, epoch)``."""
-        rng = np.random.default_rng(13)
-        reg = MetricsRegistry()
-        with MonitoringSession(
-            "sharded",
-            k=K,
-            registry=reg,
-            shards=2,
-            workers=2,
-            oversubscribe=True,
-        ) as session:
-            for oid in range(20):
-                session.join_object(oid, _lattice(rng, 1)[0])
-            session.register_query((0.5, 0.5))
-            first = session.tick()
-            assert reg.counter("state.shm_skips") == 0.0
-            second = session.tick()  # no churn, no motion: same epoch
-            assert reg.counter("state.shm_skips") == 1.0
-            for handle in first:
-                assert second[handle].neighbors == first[handle].neighbors
-            # Motion bumps the epoch: the next write is real again.
-            _, pos = session.population()
-            session.update_positions(_lattice_walk(rng, pos))
-            session.tick()
-            assert reg.counter("state.shm_skips") == 1.0

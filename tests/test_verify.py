@@ -6,8 +6,7 @@ Covers the four tentpole pieces end to end:
 * record -> replay is bit-identical (answers, digests, and ``verify.*``
   counters) across independent invocations;
 * the differential runner sees every registered exact engine agree on a
-  fuzzed workload — including ``sharded`` with live worker processes —
-  and pins divergences to a cycle/query with counters attached;
+  fuzzed workload and pins divergences to a cycle/query with counters attached;
 * a deliberately injected tie-break bug (mutation test) is caught by the
   fuzzer and shrunk to a trace of at most 5 cycles.
 """
@@ -233,15 +232,6 @@ class TestDifferential:
         scenario = make_scenario(4, cycles=6)
         specs = make_specs(["all"], overrides=scenario.engine_overrides)
         assert [s.method for s in specs] == list(EXACT_METHODS)
-        report = run_differential(scenario.workload, specs)
-        assert report.ok, report.divergences or report.errors
-
-    def test_sharded_live_workers_agree(self):
-        scenario = make_scenario(2, cycles=4)
-        specs = make_specs(
-            ["brute_force", "sharded"], sharded_workers=2
-        )
-        assert specs[1].options["workers"] == 2
         report = run_differential(scenario.workload, specs)
         assert report.ok, report.divergences or report.errors
 
